@@ -8,7 +8,6 @@
 #include <tuple>
 
 #include "dynsched/analysis/audit.hpp"
-#include "dynsched/lp/lint_hook.hpp"
 #include "dynsched/lp/model.hpp"
 #include "dynsched/mip/lint_hook.hpp"
 #include "dynsched/util/logging.hpp"
@@ -659,19 +658,10 @@ void resetModelLintStats() {
 
 }  // namespace dynsched::analysis
 
-namespace dynsched::lp {
-
-// Dependency-inverted seam declared in lp/lint_hook.hpp (see
-// core/audit_hook.hpp for the pattern).
-void lintModelHook(const char* site, const LpModel& model) {
-  analysis::enforceLint(site, analysis::lintModel(model));
-}
-
-}  // namespace dynsched::lp
-
 namespace dynsched::mip {
 
-// Dependency-inverted seam declared in mip/lint_hook.hpp.
+// Dependency-inverted seam declared in mip/lint_hook.hpp (see
+// core/audit_hook.hpp for the pattern).
 void lintModelHook(const char* site, const MipModel& model) {
   analysis::enforceLint(site, analysis::lintModel(model));
 }

@@ -20,7 +20,7 @@
 // Enforcement follows the audit layer: under an enabled DYNSCHED_AUDIT,
 // error findings throw AuditError naming the producing site; otherwise the
 // report is logged. Every solve entry point (tip::buildModel,
-// tip::exactBestSchedule, mip::solveMip, lp::solvePresolved) lints first.
+// tip::exactBestSchedule, mip::solveMip) lints first.
 #pragma once
 
 #include <cstdint>

@@ -3,7 +3,6 @@
 #include "dynsched/core/audit_hook.hpp"
 #include "dynsched/core/machine_history.hpp"
 #include "dynsched/util/error.hpp"
-#include "dynsched/util/thread_pool.hpp"
 #include "dynsched/util/timer.hpp"
 
 namespace dynsched::core {
@@ -36,8 +35,6 @@ void DynPScheduler::restoreState(PolicyKind activePolicy, DynPStats stats) {
   stats_ = std::move(stats);
 }
 
-DynPScheduler::~DynPScheduler() = default;
-
 SelfTuningResult DynPScheduler::selfTuningStep(
     const MachineHistory& history, const std::vector<Job>& waiting, Time now,
     const ReservationBook* reservations) {
@@ -50,7 +47,7 @@ SelfTuningResult DynPScheduler::selfTuningStep(
   result.values.resize(policies_.size());
 
   const MetricEvaluator evaluator(now, machine_.nodes);
-  const auto evaluateCandidate = [&](std::size_t i) {
+  for (std::size_t i = 0; i < policies_.size(); ++i) {
     result.schedules[i] =
         reservations != nullptr
             ? planSchedule(history, *reservations, waiting, policies_[i], now)
@@ -62,16 +59,6 @@ SelfTuningResult DynPScheduler::selfTuningStep(
     DYNSCHED_CORE_AUDIT_SCHEDULE(
         "dynp.selfTuningStep", result.schedules[i], history, now, reservations,
         {MetricExpectation{config_.metric, result.values[i]}});
-  };
-  if (config_.evalThreads > 1 && policies_.size() > 1) {
-    // Candidates are independent: each task reads the shared history and
-    // waiting set and writes only its own result slot.
-    if (!pool_) {
-      pool_ = std::make_unique<util::ThreadPool>(config_.evalThreads);
-    }
-    pool_->parallelFor(policies_.size(), evaluateCandidate);
-  } else {
-    for (std::size_t i = 0; i < policies_.size(); ++i) evaluateCandidate(i);
   }
 
   result.chosenPolicy = decider_->decide(policies_, result.values,

@@ -17,10 +17,6 @@
 #include "dynsched/core/metrics.hpp"
 #include "dynsched/core/planner.hpp"
 
-namespace dynsched::util {
-class ThreadPool;
-}
-
 namespace dynsched::core {
 
 class MachineHistory;  // the step only reads it by reference
@@ -51,11 +47,6 @@ struct DynPConfig {
   /// Policies the self-tuning step evaluates, in tie-preference order.
   /// Empty means the paper's default {FCFS, SJF, LJF}.
   PolicySet policies;
-  /// >1: plan and evaluate the candidate policies concurrently on a
-  /// ThreadPool of this many workers. 0/1 keeps the serial loop. Each
-  /// candidate writes only its own slot, so results are identical either
-  /// way (the decider always runs after all candidates finish).
-  unsigned evalThreads = 0;
 };
 
 /// Counters over the lifetime of a scheduler instance.
@@ -69,7 +60,6 @@ struct DynPStats {
 class DynPScheduler {
  public:
   DynPScheduler(Machine machine, DynPConfig config);
-  ~DynPScheduler();
 
   /// Runs one self-tuning step at time `now` for the given waiting set and
   /// machine history, updates the active policy, and returns the full
@@ -99,7 +89,6 @@ class DynPScheduler {
   std::unique_ptr<Decider> decider_;
   PolicyKind activePolicy_;
   DynPStats stats_;
-  std::unique_ptr<util::ThreadPool> pool_;  ///< lazy; evalThreads > 1 only
 };
 
 }  // namespace dynsched::core

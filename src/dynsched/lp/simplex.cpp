@@ -24,6 +24,13 @@ const char* lpStatusName(LpStatus status) {
 
 namespace {
 
+constexpr long kMaxIterations = 200000;   ///< then LpStatus::IterationLimit
+constexpr double kFeasibilityTol = 1e-7;  ///< bound violation tolerance
+constexpr double kOptimalityTol = 1e-7;   ///< reduced-cost tolerance
+constexpr double kPivotTol = 1e-8;        ///< smallest acceptable |pivot|
+constexpr int kRefactorInterval = 120;    ///< pivots between refactorizations
+constexpr int kBlandThreshold = 60;  ///< degenerate pivots before Bland's rule
+
 enum class VarStatus : std::uint8_t { Basic, AtLower, AtUpper, Free };
 
 /// Bounded-variable primal simplex with a classical two-phase start.
@@ -37,9 +44,9 @@ enum class VarStatus : std::uint8_t { Basic, AtLower, AtUpper, Free };
 /// coordinate-stationary points).
 class Simplex {
  public:
-  Simplex(const LpModel& model, const SimplexOptions& options)
+  Simplex(const LpModel& model, util::CancelToken* cancel)
       : model_(model),
-        opts_(options),
+        cancel_(cancel),
         n_(model.numVariables()),
         m_(model.numRows()),
         total_(n_ + 2 * model.numRows()),
@@ -113,7 +120,7 @@ class Simplex {
   double phaseObjective(bool phase1) const;
 
   const LpModel& model_;
-  SimplexOptions opts_;
+  util::CancelToken* cancel_;
   int n_, m_, total_;
   DenseBasis basis_;
 
@@ -178,7 +185,7 @@ double Simplex::phaseObjective(bool phase1) const {
 
 LpSolution Simplex::solve() {
   LpSolution result;
-  if (opts_.cancel != nullptr && opts_.cancel->injectLpFailure()) {
+  if (cancel_ != nullptr && cancel_->injectLpFailure()) {
     // Deterministic fault injection: this solve "fails numerically".
     result.status = LpStatus::NumericalFailure;
     return result;
@@ -269,7 +276,6 @@ LpSolution Simplex::solve() {
   }
   computeBasicValues();
 
-  const double otol = opts_.optimalityTol;
   std::vector<double> y(static_cast<std::size_t>(m_));
   std::vector<double> alpha(static_cast<std::size_t>(m_));
   int degenerateRun = 0;
@@ -277,13 +283,13 @@ LpSolution Simplex::solve() {
   bool phase1 = needPhase1;
   bool hitIterationLimit = true;
 
-  for (long iter = 0; iter < opts_.maxIterations; ++iter) {
+  for (long iter = 0; iter < kMaxIterations; ++iter) {
     result.iterations = iter;
-    if (opts_.cancel != nullptr && opts_.cancel->onLpIteration()) {
+    if (cancel_ != nullptr && cancel_->onLpIteration()) {
       result.status = LpStatus::Cancelled;
       return result;
     }
-    if (basis_.updatesSinceFactorize() >= opts_.refactorInterval) {
+    if (basis_.updatesSinceFactorize() >= kRefactorInterval) {
       if (!refactorize()) {
         result.status = LpStatus::NumericalFailure;
         return result;
@@ -292,7 +298,7 @@ LpSolution Simplex::solve() {
     }
 
     // Phase transition: all artificial mass driven to ~0.
-    if (phase1 && phaseObjective(true) <= opts_.feasibilityTol) {
+    if (phase1 && phaseObjective(true) <= kFeasibilityTol) {
       phase1 = false;
       // Freeze artificials at zero so they can never re-enter.
       for (int r = 0; r < m_; ++r) artificialUb_[static_cast<std::size_t>(r)] = 0.0;
@@ -309,7 +315,7 @@ LpSolution Simplex::solve() {
 
     int entering = -1;
     int enterDir = 0;
-    double bestScore = otol;
+    double bestScore = kOptimalityTol;
     for (int var = 0; var < total_; ++var) {
       const VarStatus st = status_[static_cast<std::size_t>(var)];
       if (st == VarStatus::Basic) continue;
@@ -318,10 +324,11 @@ LpSolution Simplex::solve() {
       if (l == u) continue;  // fixed variables never enter
       const double rc = cost(var, phase1) - dotColumn(var, y);
       int dir = 0;
-      if ((st == VarStatus::AtLower || st == VarStatus::Free) && rc < -otol) {
+      if ((st == VarStatus::AtLower || st == VarStatus::Free) &&
+          rc < -kOptimalityTol) {
         dir = +1;
       } else if ((st == VarStatus::AtUpper || st == VarStatus::Free) &&
-                 rc > otol) {
+                 rc > kOptimalityTol) {
         dir = -1;
       }
       if (dir == 0) continue;
@@ -341,7 +348,7 @@ LpSolution Simplex::solve() {
     if (entering < 0) {
       if (phase1) {
         // Phase-1 optimum with residual artificial mass: infeasible.
-        result.status = phaseObjective(true) > opts_.feasibilityTol
+        result.status = phaseObjective(true) > kFeasibilityTol
                             ? LpStatus::Infeasible
                             : LpStatus::Optimal;
         if (result.status == LpStatus::Infeasible) return result;
@@ -367,7 +374,7 @@ LpSolution Simplex::solve() {
     double bestPivotMag = 0;
     for (int i = 0; i < m_; ++i) {
       const double a = alpha[static_cast<std::size_t>(i)];
-      if (std::fabs(a) < opts_.pivotTol) continue;
+      if (std::fabs(a) < kPivotTol) continue;
       const double delta = -static_cast<double>(enterDir) * a;
       const int var = basisVars_[static_cast<std::size_t>(i)];
       const double v = xBasic_[static_cast<std::size_t>(i)];
@@ -443,7 +450,7 @@ LpSolution Simplex::solve() {
     basis_.update(alpha, leavingPos);
 
     if (t < 1e-10) {
-      if (++degenerateRun > opts_.blandThreshold) bland = true;
+      if (++degenerateRun > kBlandThreshold) bland = true;
     } else {
       degenerateRun = 0;
       bland = false;
@@ -491,8 +498,8 @@ LpSolution Simplex::solve() {
 
 }  // namespace
 
-LpSolution solveLp(const LpModel& model, const SimplexOptions& options) {
-  Simplex solver(model, options);
+LpSolution solveLp(const LpModel& model, util::CancelToken* cancel) {
+  Simplex solver(model, cancel);
   return solver.solve();
 }
 

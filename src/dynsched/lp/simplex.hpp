@@ -1,10 +1,12 @@
 // Bounded-variable primal simplex (revised form, dense basis inverse).
 //
 // Handles general range rows and variable bounds. Infeasibility is resolved
-// by a composite phase 1 (minimize the sum of basic bound violations) that
-// needs no artificial variables: the slack basis is always a valid start,
-// and the same pivoting machinery drives both phases. Degeneracy falls back
-// to Bland's rule after a run of non-improving pivots.
+// by a classical two-phase start with one artificial variable per row: the
+// crash basis keeps a row's slack basic where the starting point satisfies
+// the row and lets a signed artificial carry the residual where it does not;
+// phase 1 minimizes the sum of the artificials, phase 2 the objective, and
+// the same pivoting machinery drives both phases. Degeneracy falls back to
+// Bland's rule after a run of non-improving pivots.
 //
 // This solver plays the role of the LP engine inside the branch-and-bound
 // "CPLEX substitute" (dynsched::mip); see DESIGN.md, substitutions.
@@ -44,21 +46,13 @@ struct LpSolution {
   bool optimal() const { return status == LpStatus::Optimal; }
 };
 
-struct SimplexOptions {
-  long maxIterations = 200000;
-  double feasibilityTol = 1e-7;   ///< bound violation tolerance
-  double optimalityTol = 1e-7;    ///< reduced-cost tolerance
-  double pivotTol = 1e-8;         ///< smallest acceptable |pivot|
-  int refactorInterval = 120;     ///< pivots between refactorizations
-  int blandThreshold = 60;        ///< degenerate pivots before Bland's rule
-  /// Cooperative cancellation point, polled at every iteration so a shared
-  /// deadline is honored with at most one iteration of overshoot (and so a
-  /// degenerate node LP inside branch & bound cannot overrun the step
-  /// budget). Non-owning; may be null.
-  util::CancelToken* cancel = nullptr;
-};
-
-/// Solves `model` (minimization). The model is not modified.
-LpSolution solveLp(const LpModel& model, const SimplexOptions& options = {});
+/// Solves `model` (minimization). The model is not modified. A solve that
+/// needs more than 200,000 pivots stops with IterationLimit.
+///
+/// `cancel` is a cooperative cancellation point, polled at every iteration
+/// so a shared deadline is honored with at most one iteration of overshoot
+/// (and so a degenerate node LP inside branch & bound cannot overrun the
+/// step budget). Non-owning; may be null.
+LpSolution solveLp(const LpModel& model, util::CancelToken* cancel = nullptr);
 
 }  // namespace dynsched::lp

@@ -1,5 +1,9 @@
-// Dependency-inverted model-lint seam for the MIP solver — the mip twin of
-// lp/lint_hook.hpp (see there and core/audit_hook.hpp for the pattern).
+// Dependency-inverted model-lint seam for the MIP solver.
+//
+// solveMip lints its model before solving via DYNSCHED_MIP_LINT_MODEL.
+// mip only *declares* the hook; the analysis library defines it in
+// model_lint.cpp (enforceLint over lintModel), so no mip TU includes
+// analysis headers — same include-level inversion as core/audit_hook.hpp.
 #pragma once
 
 namespace dynsched::mip {

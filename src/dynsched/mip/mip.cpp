@@ -5,6 +5,7 @@
 #include <queue>
 #include <sstream>
 
+#include "dynsched/lp/simplex.hpp"
 #include "dynsched/mip/lint_hook.hpp"
 #include "dynsched/util/error.hpp"
 #include "dynsched/util/logging.hpp"
@@ -76,10 +77,6 @@ class BranchAndBound {
  public:
   BranchAndBound(const MipModel& model, const MipOptions& options)
       : model_(model), opts_(options), work_(model.lp) {
-    nodeLpOptions_ = opts_.lpOptions;
-    if (nodeLpOptions_.cancel == nullptr) {
-      nodeLpOptions_.cancel = opts_.cancel;
-    }
     DYNSCHED_CHECK(model_.integer.size() ==
                    static_cast<std::size_t>(model_.lp.numVariables()));
     colGroup_.assign(static_cast<std::size_t>(model_.lp.numVariables()), -1);
@@ -107,7 +104,6 @@ class BranchAndBound {
 
   const MipModel& model_;
   const MipOptions& opts_;
-  lp::SimplexOptions nodeLpOptions_;  ///< lpOptions + the shared cancel token
   lp::LpModel work_;  ///< working copy whose bounds are rewritten per node
   std::vector<int> colGroup_;  ///< per column: branch-group index or -1
   int cutRoundsUsed_ = 0;
@@ -121,7 +117,7 @@ bool BranchAndBound::isIntegerFeasible(const std::vector<double>& x) const {
   for (int j = 0; j < model_.lp.numVariables(); ++j) {
     if (!model_.integer[static_cast<std::size_t>(j)]) continue;
     const double v = x[static_cast<std::size_t>(j)];
-    if (std::fabs(v - std::round(v)) > opts_.integralityTol) return false;
+    if (std::fabs(v - std::round(v)) > kIntegralityTol) return false;
   }
   return true;
 }
@@ -147,14 +143,14 @@ bool BranchAndBound::tryIncumbent(std::vector<double> x, const char* source) {
 int BranchAndBound::pickBranchVariable(const std::vector<double>& x) const {
   // Most fractional; ties by larger objective coefficient, then index.
   int best = -1;
-  double bestScore = opts_.integralityTol;
+  double bestScore = kIntegralityTol;
   double bestCoef = -lp::kInf;
   for (int j = 0; j < model_.lp.numVariables(); ++j) {
     if (!model_.integer[static_cast<std::size_t>(j)]) continue;
     const double v = x[static_cast<std::size_t>(j)];
     const double frac = v - std::floor(v);
     const double score = std::min(frac, 1.0 - frac);
-    if (score <= opts_.integralityTol) continue;
+    if (score <= kIntegralityTol) continue;
     const double coef = std::fabs(model_.lp.objectiveCoef(j));
     if (score > bestScore + 1e-12 ||
         (score > bestScore - 1e-12 && coef > bestCoef)) {
@@ -181,8 +177,7 @@ int BranchAndBound::separateCoverCuts(const std::vector<double>& x) {
   std::vector<std::pair<int, double>> sorted;
   std::vector<int> cover;
   std::vector<std::pair<int, double>> entries;
-  for (int r = 0; r < originalRows && added < opts_.maxCoverCutsPerRound;
-       ++r) {
+  for (int r = 0; r < originalRows && added < kMaxCoverCutsPerRound; ++r) {
     // Separation is O(rows · columns); on big time-indexed models it must
     // observe the shared budget too, not only the node loop.
     if (opts_.cancel != nullptr && opts_.cancel->poll()) break;
@@ -282,7 +277,7 @@ MipResult BranchAndBound::run() {
     result_.bestBound = std::max(result_.bestBound, globalBound);
     if (haveIncumbent_) {
       const double denom = std::max(1.0, std::fabs(result_.objective));
-      if ((result_.objective - node.bound) / denom <= opts_.relGapTol) {
+      if ((result_.objective - node.bound) / denom <= kRelGapTol) {
         // Everything still open is within tolerance of the incumbent.
         result_.bestBound = result_.objective;
         break;
@@ -316,7 +311,7 @@ MipResult BranchAndBound::run() {
       result_.seconds = timer_.elapsedSeconds();
       return result_;
     }
-    const lp::LpSolution relax = lp::solveLp(work_, nodeLpOptions_);
+    const lp::LpSolution relax = lp::solveLp(work_, opts_.cancel);
     result_.lpIterations += relax.iterations;
     if (relax.status == lp::LpStatus::Infeasible) continue;
     if (relax.status == lp::LpStatus::Cancelled) {
@@ -407,7 +402,7 @@ MipResult BranchAndBound::run() {
         // Only columns still available in this node carry weight.
         if (work_.columnUpper(cols[k]) <= 0.5) continue;
         const double v = relax.x[static_cast<std::size_t>(cols[k])];
-        if (v <= opts_.integralityTol) continue;
+        if (v <= kIntegralityTol) continue;
         weight += v;
         meanPos += v * static_cast<double>(k);
         if (firstPos < 0) firstPos = static_cast<int>(k);
@@ -492,7 +487,7 @@ MipResult BranchAndBound::run() {
     const double denom = std::max(1.0, std::fabs(result_.objective));
     const double gap =
         std::max(0.0, (result_.objective - result_.bestBound) / denom);
-    result_.status = (open.empty() || gap <= opts_.relGapTol)
+    result_.status = (open.empty() || gap <= kRelGapTol)
                          ? MipStatus::Optimal
                          : MipStatus::FeasibleLimit;
     if (result_.status == MipStatus::Optimal) result_.message.clear();

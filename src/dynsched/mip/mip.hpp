@@ -14,7 +14,7 @@
 #include <string>
 #include <vector>
 
-#include "dynsched/lp/simplex.hpp"
+#include "dynsched/lp/model.hpp"
 #include "dynsched/util/budget.hpp"
 
 namespace dynsched::mip {
@@ -72,20 +72,24 @@ struct MipResult {
   double gap() const;
 };
 
+/// Fixed search tolerances. tip::studyFingerprint records them, so editing
+/// one invalidates the journals written under the old value.
+inline constexpr double kRelGapTol = 1e-6;  ///< stop when gap() <= this
+inline constexpr double kIntegralityTol = 1e-6;
+/// Most cover cuts one root separation round adds (see coverCutRounds).
+inline constexpr int kMaxCoverCutsPerRound = 64;
+
 struct MipOptions {
   long maxNodes = 200000;
   double timeLimitSeconds = 300.0;
-  /// Shared cooperative cancellation point (non-owning; may be null). It is
-  /// threaded into every node relaxation via lp::SimplexOptions::cancel and
-  /// polled in the node loop and the cover-cut separation, so the budget it
-  /// carries bounds the whole solve — including a single degenerate node LP.
+  /// Shared cooperative cancellation point (non-owning; may be null). Every
+  /// node relaxation gets it as lp::solveLp's token, and the node loop and
+  /// the cover-cut separation poll it too, so the budget it carries bounds
+  /// the whole solve — including a single degenerate node LP.
   util::CancelToken* cancel = nullptr;
-  double relGapTol = 1e-6;       ///< stop when gap() <= this
-  double integralityTol = 1e-6;
   /// Objective value of every integer point is an integer (true for the
   /// time-indexed model, whose costs are integral); lets bounds round up.
   bool objectiveIsIntegral = false;
-  lp::SimplexOptions lpOptions;
   /// Called with each node's fractional LP point; may return an integer
   /// feasible candidate (it is validated before acceptance).
   std::function<std::optional<std::vector<double>>(
@@ -99,7 +103,6 @@ struct MipOptions {
   /// cover S (Σ_{i∈S} w_i > C) every integer point satisfies
   /// Σ_{i∈S} x_i <= |S| − 1, which the LP relaxation often violates.
   int coverCutRounds = 1;
-  int maxCoverCutsPerRound = 64;
   /// Disjoint ordered groups of binary columns of which exactly one is 1 in
   /// any feasible solution (SOS1 along a value axis, e.g. the start-time
   /// columns x_{i,0..K} of one job). When the branching variable belongs to

@@ -84,11 +84,11 @@ std::uint64_t studyFingerprint(const std::vector<sim::StepSnapshot>& snapshots,
   w.u64(options.budget.maxEstimatedBytes);
   w.i64(options.mip.maxNodes);
   w.f64(options.mip.timeLimitSeconds);
-  w.f64(options.mip.relGapTol);
-  w.f64(options.mip.integralityTol);
+  w.f64(mip::kRelGapTol);
+  w.f64(mip::kIntegralityTol);
   w.boolean(options.mip.objectiveIsIntegral);
   w.i64(options.mip.coverCutRounds);
-  w.i64(options.mip.maxCoverCutsPerRound);
+  w.i64(mip::kMaxCoverCutsPerRound);
   return util::fnv1a64(w.bytes().data(), w.bytes().size());
 }
 

@@ -137,34 +137,6 @@ TEST(DynP, StepComputesAllThreeSchedules) {
   EXPECT_EQ(scheduler.activePolicy(), PolicyKind::Sjf);
 }
 
-TEST(DynP, ConcurrentEvaluationMatchesSerial) {
-  // Same step, serial vs. ThreadPool-driven candidate evaluation. This is
-  // the TSan target for concurrent policy evaluation: each candidate plans,
-  // evaluates, and audits on a worker thread.
-  DynPConfig parallelConfig;
-  parallelConfig.evalThreads = 3;
-  DynPScheduler serial(Machine{32}, DynPConfig{});
-  DynPScheduler parallel(Machine{32}, parallelConfig);
-  const auto history = MachineHistory::fromRunningJobs(
-      Machine{32}, 0, {RunningJob{90, 16, 150}});
-  const std::vector<Job> waiting = {
-      makeJob(1, 0, 16, 100), makeJob(2, 0, 32, 50), makeJob(3, 0, 8, 200),
-      makeJob(4, 0, 4, 30),   makeJob(5, 0, 24, 75)};
-  for (Time now : {Time{0}, Time{10}, Time{20}}) {
-    const SelfTuningResult a = serial.selfTuningStep(history, waiting, now);
-    const SelfTuningResult b = parallel.selfTuningStep(history, waiting, now);
-    ASSERT_EQ(a.values.size(), b.values.size());
-    for (std::size_t i = 0; i < a.values.size(); ++i) {
-      EXPECT_DOUBLE_EQ(a.values[i], b.values[i]);
-    }
-    EXPECT_EQ(a.chosenPolicy, b.chosenPolicy);
-    for (const PolicyKind policy : kAllPolicies) {
-      EXPECT_EQ(a.scheduleFor(policy).toString(),
-                b.scheduleFor(policy).toString());
-    }
-  }
-}
-
 TEST(DynP, LongJobsFavourLjfOnUtilizationHorizon) {
   // With the SLDwA metric and a mix where LJF packs best, the decider can
   // pick LJF; here we simply verify the decision equals the argmin value.

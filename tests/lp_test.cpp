@@ -332,9 +332,7 @@ TEST(Simplex, CancelDeadlineNowStopsBeforeFirstPivot) {
   util::FaultPlan faults;
   faults.deadlineNow = true;
   util::CancelToken token({}, faults);
-  SimplexOptions opts;
-  opts.cancel = &token;
-  const LpSolution s = solveLp(m, opts);
+  const LpSolution s = solveLp(m, &token);
   EXPECT_EQ(s.status, LpStatus::Cancelled);
   EXPECT_EQ(s.iterations, 0);
   EXPECT_EQ(token.reason(), util::CancelReason::Deadline);
@@ -353,9 +351,7 @@ TEST(Simplex, CancelIterationBudgetBoundsPivots) {
   util::SolveBudget budget;
   budget.maxLpIterations = 1;
   util::CancelToken token(budget);
-  SimplexOptions opts;
-  opts.cancel = &token;
-  const LpSolution s = solveLp(m, opts);
+  const LpSolution s = solveLp(m, &token);
   EXPECT_EQ(s.status, LpStatus::Cancelled);
   EXPECT_LE(s.iterations, 1);
   EXPECT_EQ(token.reason(), util::CancelReason::LpIterationLimit);
@@ -373,9 +369,7 @@ TEST(Simplex, ProcessInterruptCancelsWithInterruptedReason) {
   m.addRow(-kInf, 18.0, {{a, 3.0}, {b, 2.0}});
   util::requestInterrupt();
   util::CancelToken token;
-  SimplexOptions opts;
-  opts.cancel = &token;
-  const LpSolution s = solveLp(m, opts);
+  const LpSolution s = solveLp(m, &token);
   util::clearInterrupt();
   EXPECT_EQ(s.status, LpStatus::Cancelled);
   EXPECT_EQ(token.reason(), util::CancelReason::Interrupted);
@@ -389,9 +383,7 @@ TEST(Simplex, RequestCancelStopsTheSolve) {
   m.addRow(-kInf, 18.0, {{a, 3.0}, {b, 2.0}});
   util::CancelToken token;
   token.requestCancel(util::CancelReason::Interrupted);
-  SimplexOptions opts;
-  opts.cancel = &token;
-  const LpSolution s = solveLp(m, opts);
+  const LpSolution s = solveLp(m, &token);
   EXPECT_EQ(s.status, LpStatus::Cancelled);
   EXPECT_EQ(token.reason(), util::CancelReason::Interrupted);
 }
@@ -402,11 +394,9 @@ TEST(Simplex, InjectedNumericalFailureConsumesOneFault) {
   util::FaultPlan faults;
   faults.lpFailures = 1;
   util::CancelToken token({}, faults);
-  SimplexOptions opts;
-  opts.cancel = &token;
-  EXPECT_EQ(solveLp(m, opts).status, LpStatus::NumericalFailure);
+  EXPECT_EQ(solveLp(m, &token).status, LpStatus::NumericalFailure);
   // The fault is consumed; the same token lets the next solve through.
-  EXPECT_EQ(solveLp(m, opts).status, LpStatus::Optimal);
+  EXPECT_EQ(solveLp(m, &token).status, LpStatus::Optimal);
 }
 
 }  // namespace

@@ -8,7 +8,6 @@
 
 #include "dynsched/analysis/audit.hpp"
 #include "dynsched/analysis/model_lint.hpp"
-#include "dynsched/lp/presolve.hpp"
 #include "dynsched/tip/tim_model.hpp"
 #include "dynsched/util/rng.hpp"
 
@@ -346,15 +345,6 @@ TEST(ModelLintWiring, SolveMipRejectsCorruptModel) {
       0, 1, std::numeric_limits<double>::quiet_NaN(), "x");
   m.lp.addRow(-lp::kInf, 1.0, {{x, 1.0}}, "cap");
   EXPECT_THROW(mip::solveMip(m), AuditError);
-}
-
-TEST(ModelLintWiring, SolvePresolvedRejectsCorruptModel) {
-  ScopedAudit audit(true);
-  lp::LpModel m;
-  const int x =
-      m.addVariable(0, 1, std::numeric_limits<double>::quiet_NaN(), "x");
-  m.addRow(-lp::kInf, 1.0, {{x, 1.0}}, "cap");
-  EXPECT_THROW(lp::solvePresolved(m), AuditError);
 }
 
 TEST(ModelLintWiring, BuildModelLintsEveryTipModel) {

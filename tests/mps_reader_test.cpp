@@ -1,5 +1,6 @@
-// MPS reader tests: semantics of each section, round-trip through the
-// writer (the fuzz oracle's invariant), and rejection of malformed input.
+// MPS reader and writer tests: semantics of each section, round-trip
+// through the writer (the fuzz oracle's invariant), rejection of malformed
+// input, and the writer's sections and generated names.
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -294,6 +295,37 @@ TEST(MpsReader, FiveFieldDataLines) {
   EXPECT_DOUBLE_EQ(p.model.rowUpper(0), 5.0);
   EXPECT_DOUBLE_EQ(p.model.rowLower(1), 1.0);
   ASSERT_EQ(p.model.column(0).size(), 2u);
+}
+
+TEST(MpsWriter, EmitsAllSections) {
+  LpModel m;
+  const int x = m.addVariable(0, 1, 2.5, "x1");
+  const int y = m.addVariable(-kInf, kInf, -1.0, "yfree");
+  const int z = m.addVariable(2, 2, 0.0, "zfix");
+  m.addRow(-kInf, 4.0, {{x, 1.0}, {y, 2.0}}, "cap");
+  m.addRow(1.0, 1.0, {{x, 1.0}, {z, 1.0}}, "assign");
+  m.addRow(1.0, 3.0, {{y, 1.0}}, "range");
+  std::ostringstream out;
+  MpsOptions options;
+  options.integerColumns = {true, false, false};
+  writeMps(m, out, options);
+  const std::string text = out.str();
+  for (const char* needle :
+       {"NAME", "ROWS", "COLUMNS", "RHS", "RANGES", "BOUNDS", "ENDATA",
+        " L  cap", " E  assign", " L  range", "INTORG", "INTEND", "x1",
+        "yfree", " FR BND  yfree", " FX BND  zfix  2"}) {
+    EXPECT_NE(text.find(needle), std::string::npos) << "missing " << needle;
+  }
+}
+
+TEST(MpsWriter, GeneratesNamesWhenAbsent) {
+  LpModel m;
+  const int x = m.addVariable(0, 1, 1.0);
+  m.addRow(0, 1, {{x, 1.0}});
+  std::ostringstream out;
+  writeMps(m, out);
+  EXPECT_NE(out.str().find("C000000"), std::string::npos);
+  EXPECT_NE(out.str().find("R000000"), std::string::npos);
 }
 
 }  // namespace
