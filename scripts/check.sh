@@ -144,7 +144,8 @@ if ! skip kill; then
   # resume from the journal. The canonical (timing-free) report must be
   # byte-identical to an uninterrupted journal-free run for N in {first,
   # mid, last}. A stale journal written by an incompatible format version
-  # must fail fast with a structured error, not be misread.
+  # must fail fast with a structured error, not be misread; a bare header
+  # (a process killed before its meta record) must resume as a fresh run.
   if [[ ! -x build-asan/bench/bench_table1 ]]; then
     echo "=== [kill] building bench_table1 (asan) ==="
     cmake -B build-asan -S . -DDYNSCHED_WERROR=ON \
@@ -198,6 +199,20 @@ if ! skip kill; then
         cat "$KILL_DIR/stale.err" >&2
         FAILED="$FAILED kill"
       fi
+    fi
+    if [[ " $FAILED " != *" kill "* ]]; then
+      echo "=== [kill] bare-header journal resumes as a fresh run ==="
+      # The exact 16 bytes JournalWriter::create writes before the meta record.
+      printf 'DSJRNL1\n\x01\x00\x00\x00\x42\x6b\x46\xfe' \
+        > "$KILL_DIR/bare.journal"
+      "${BENCH[@]}" --journal "$KILL_DIR/bare.journal" --resume \
+          --report "$KILL_DIR/bare.txt" > /dev/null \
+        || { echo "bare-header journal: resume failed" >&2
+             FAILED="$FAILED kill"; }
+      [[ " $FAILED " == *" kill "* ]] \
+        || cmp "$KILL_DIR/reference.txt" "$KILL_DIR/bare.txt" \
+        || { echo "bare-header journal: resumed report differs" >&2
+             FAILED="$FAILED kill"; }
     fi
     rm -rf "$KILL_DIR"
   fi

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <fstream>
 #include <utility>
 
 #include "dynsched/core/decider.hpp"
@@ -19,11 +18,6 @@ namespace {
 /// Latency samples kept for the p50/p99 in Health (bounded ring).
 constexpr std::size_t kLatencyRingCapacity = 512;
 
-bool fileExists(const std::string& path) {
-  std::ifstream probe(path);
-  return probe.good();
-}
-
 }  // namespace
 
 SchedulerService::SchedulerService(ServiceOptions options)
@@ -35,54 +29,36 @@ SchedulerService::SchedulerService(ServiceOptions options)
   if (!options_.journal.enabled()) return;
 
   const util::MutexLock lock(mu_);
-  const std::string& path = options_.journal.path;
-  if (options_.journal.resume && fileExists(path)) {
-    const util::JournalReadResult read = util::readJournal(path);
-    if (read.tailDropped) DYNSCHED_LOG(Warn) << read.tailWarning;
-    std::uint64_t priorTorn = 0;
-    std::uint64_t priorDropped = 0;
-    bool sawMeta = false;
-    for (const util::JournalRecord& record : read.records) {
-      if (record.type == kServeMetaRecord) {
-        DYNSCHED_CHECK_MSG(
-            record.version <= kServeMetaVersion,
-            "serve journal meta record written by a newer build");
-        util::PayloadReader r(record.payload);
-        const std::uint64_t fingerprint = r.u64();
-        DYNSCHED_CHECK_MSG(fingerprint == configFingerprint(),
-                           "serve journal belongs to a different service "
-                           "configuration; start fresh (without --resume) or "
-                           "restore the original solver settings");
-        r.u64();  // recoveredAnswers at the time the meta was written
-        priorTorn = r.u64();
-        priorDropped = r.u64();
-        sawMeta = true;
-      } else if (record.type == kServeAnswerRecord) {
-        DYNSCHED_CHECK_MSG(
-            record.version <= kServeAnswerVersion,
-            "serve journal answer record written by a newer build");
-        DYNSCHED_CHECK_MSG(sawMeta,
-                           "serve journal has answers before the meta record");
-        util::PayloadReader r(record.payload);
-        const std::uint64_t fingerprint = r.u64();
-        const ScheduleResponse response = decodeScheduleResponse(r.str());
-        insertCacheLocked(fingerprint, response);
-        ++recoveredAnswers_;
-      }
-      // Unknown types: skip (future serve records stay forward-readable).
+  util::OpenedJournal opened = util::openRunJournal(
+      options_.journal, "server", kServeMetaRecord, configFingerprint(),
+      metaLocked(),
+      {{kServeMetaRecord, kServeMetaVersion},
+       {kServeAnswerRecord, kServeAnswerVersion}});
+  const util::JournalReadResult& replay = opened.replay;
+  std::uint64_t priorTorn = 0;
+  std::uint64_t priorDropped = 0;
+  for (const util::JournalRecord& record : replay.records) {
+    util::PayloadReader r(record.payload);
+    if (record.type == kServeMetaRecord) {
+      r.u64();  // config fingerprint, checked by openRunJournal
+      r.u64();  // recoveredAnswers at the time the meta was written
+      priorTorn = r.u64();
+      priorDropped = r.u64();
+    } else if (record.type == kServeAnswerRecord) {
+      const std::uint64_t fingerprint = r.u64();
+      insertCacheLocked(fingerprint, decodeScheduleResponse(r.str()));
+      ++recoveredAnswers_;
     }
-    stats_.tornTails = priorTorn + (read.tailDropped ? 1 : 0);
-    stats_.droppedTailBytes = priorDropped + read.droppedBytes;
-    stats_.recoveredAnswers = recoveredAnswers_;
-    answersPersisted_ = recoveredAnswers_;
-    journal_.emplace(util::JournalWriter::append(
-        path, read, options_.journal.fsyncEachRecord));
-  } else {
-    journal_.emplace(
-        util::JournalWriter::create(path, options_.journal.fsyncEachRecord));
+    // Unknown types: skip (future serve records stay forward-readable).
   }
-  writeMetaLocked();
-  journal_->flush();
+  stats_.tornTails = priorTorn + (replay.tailDropped ? 1 : 0);
+  stats_.droppedTailBytes = priorDropped + replay.droppedBytes;
+  stats_.recoveredAnswers = recoveredAnswers_;
+  answersPersisted_ = recoveredAnswers_;
+  journal_.emplace(std::move(opened.writer));
+  // A fresh journal starts with its meta record; a recovery appends one
+  // that carries the recovered counts.
+  if (!replay.records.empty() || replay.tailDropped) writeMetaLocked();
 }
 
 SchedulerService::~SchedulerService() { drain(); }
@@ -128,14 +104,18 @@ void SchedulerService::insertCacheLocked(std::uint64_t fingerprint,
   }
 }
 
-void SchedulerService::writeMetaLocked() {
-  if (!journal_) return;
+util::PayloadWriter SchedulerService::metaLocked() const {
   util::PayloadWriter meta;
   meta.u64(configFingerprint());
   meta.u64(recoveredAnswers_);
   meta.u64(stats_.tornTails);
   meta.u64(stats_.droppedTailBytes);
-  journal_->write(kServeMetaRecord, kServeMetaVersion, meta);
+  return meta;
+}
+
+void SchedulerService::writeMetaLocked() {
+  journal_->write(kServeMetaRecord, kServeMetaVersion, metaLocked());
+  journal_->flush();
 }
 
 void SchedulerService::recordLatencyLocked(double ms) {
@@ -354,10 +334,7 @@ void SchedulerService::drain() {
   while (running_ > 0 || waiting_ > 0) {
     drained_.wait(mu_);
   }
-  if (journal_) {
-    writeMetaLocked();
-    journal_->flush();
-  }
+  if (journal_) writeMetaLocked();
 }
 
 bool SchedulerService::draining() const {

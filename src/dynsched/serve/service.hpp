@@ -20,9 +20,10 @@
 //                timeout. `worker-stall=N` forces the Nth solve onto the
 //                ladder deterministically.
 //   journal    — every answer is appended to a run journal (the study's
-//                framing); restart rebuilds the cache from it, tolerating
-//                torn tails and reporting "recovered N answers, dropped M
-//                bytes" through the meta record and Health stats.
+//                framing) and fsynced; restart rebuilds the cache from it
+//                (util::openRunJournal, the study's resume protocol),
+//                tolerating torn tails and reporting "recovered N answers,
+//                dropped M bytes" through the meta record and Health stats.
 //                `kill-at-step=N` exits with 137 right after persisting
 //                answer N — the serve kill-matrix primitive.
 //
@@ -75,9 +76,10 @@ struct ServiceOptions {
 
 class SchedulerService {
  public:
-  /// Opens (or resumes) the answer journal and rebuilds the cache. Throws
-  /// CheckError when a resumed journal belongs to a different service
-  /// configuration, JournalError when the file is unreadable.
+  /// Opens (or resumes) the answer journal through util::openRunJournal and
+  /// rebuilds the cache. Throws util::JournalError when the file is
+  /// unreadable, or when a resumed journal belongs to a different service
+  /// configuration or was written by a newer build.
   explicit SchedulerService(ServiceOptions options);
   ~SchedulerService();
   SchedulerService(const SchedulerService&) = delete;
@@ -118,6 +120,9 @@ class SchedulerService {
   void insertCacheLocked(std::uint64_t fingerprint,
                          const ScheduleResponse& response)
       DYNSCHED_REQUIRES(mu_);
+  /// The meta record payload: config fingerprint plus recovery counts.
+  util::PayloadWriter metaLocked() const DYNSCHED_REQUIRES(mu_);
+  /// Appends the meta record and fsyncs the journal.
   void writeMetaLocked() DYNSCHED_REQUIRES(mu_);
   void recordLatencyLocked(double ms) DYNSCHED_REQUIRES(mu_);
   ScheduleResponse solveAdmitted(const ScheduleRequest& request,

@@ -1,7 +1,6 @@
 #include "dynsched/sim/simulator.hpp"
 
 #include <algorithm>
-#include <fstream>
 #include <optional>
 #include <queue>
 #include <sstream>
@@ -331,85 +330,45 @@ SimulationReport RmsSimulator::run(const std::vector<core::Job>& jobs) {
   if (journaled) {
     const std::uint64_t fingerprint =
         simFingerprint(machine_, options_, trace);
+    util::PayloadWriter meta;
+    meta.u64(fingerprint);
+    meta.u64(trace.size());
+    meta.u32(static_cast<std::uint32_t>(machine_.nodes));
     const std::string& path = options_.journal.path;
-    const auto checkRecordVersion = [&](const util::JournalRecord& record,
-                                        std::uint16_t supported) {
-      if (record.version > supported) {
-        throw analysis::AuditError(
-            "simulator journal '" + path + "' record type " +
-            std::to_string(record.type) + " has version " +
-            std::to_string(record.version) + "; this build reads up to " +
-            std::to_string(supported) +
-            " — the journal was written by a newer build");
-      }
-    };
-    const bool haveFile = [&] {
-      std::ifstream probe(path);
-      return probe.good();
-    }();
     try {
-      if (options_.journal.resume && haveFile) {
-        const util::JournalReadResult read = util::readJournal(path);
-        if (read.tailDropped) {
-          report.tailDropped = true;
-          report.tailWarning = read.tailWarning;
-          DYNSCHED_LOG(Warn) << read.tailWarning;
-        }
-        if (read.records.empty() ||
-            read.records[0].type != kSimMetaRecord) {
-          throw analysis::AuditError(
-              "simulator journal '" + path +
-              "' has no sim-meta record; it was not written by "
-              "RmsSimulator");
-        }
-        const std::string* checkpoint = nullptr;
-        for (const util::JournalRecord& record : read.records) {
-          if (record.type == kSimMetaRecord) {
-            checkRecordVersion(record, kSimMetaVersion);
-            util::PayloadReader meta(record.payload);
-            const std::uint64_t storedPrint = meta.u64();
-            const std::uint64_t storedJobs = meta.u64();
-            if (storedPrint != fingerprint || storedJobs != trace.size()) {
-              throw analysis::AuditError(
-                  "simulator journal '" + path +
-                  "' belongs to a different run (fingerprint/trace "
-                  "mismatch); refusing to mix runs — start a fresh "
-                  "journal");
-            }
-          } else if (record.type == kSimCheckpointRecord) {
-            checkRecordVersion(record, kSimCheckpointVersion);
-            checkpoint = &record.payload;  // last valid checkpoint wins
-          }
-          // Unknown record types are additive extensions: skip.
-        }
-        if (checkpoint != nullptr) {
+      util::OpenedJournal opened = util::openRunJournal(
+          options_.journal, "simulator", kSimMetaRecord, fingerprint, meta,
+          {{kSimMetaRecord, kSimMetaVersion},
+           {kSimCheckpointRecord, kSimCheckpointVersion}});
+      report.tailDropped = opened.replay.tailDropped;
+      report.tailWarning = opened.replay.tailWarning;
+      writer.emplace(std::move(opened.writer));
+      const std::string* checkpoint = nullptr;
+      for (const util::JournalRecord& record : opened.replay.records) {
+        // The last valid checkpoint wins; openRunJournal checked the meta
+        // record, and other types are additive extensions.
+        if (record.type == kSimCheckpointRecord) checkpoint = &record.payload;
+      }
+      if (checkpoint != nullptr) {
+        try {
           restoreCheckpoint(*checkpoint);
-          report.resumed = true;
-          report.resumedAtEvent = eventCounter;
-          lastCheckpointEvent = eventCounter;
-          DYNSCHED_LOG(Info)
-              << "resumed simulation from checkpoint at event "
-              << eventCounter << " (" << report.completed.size()
-              << " jobs already completed)";
+        } catch (const util::JournalError& e) {
+          throw analysis::AuditError("simulator journal '" + path + "': " +
+                                     e.what());
+        } catch (const CheckError& e) {
+          throw analysis::AuditError("simulator journal '" + path + "': " +
+                                     e.what());
         }
-        writer.emplace(util::JournalWriter::append(
-            path, read, options_.journal.fsyncEachRecord));
-      } else {
-        writer.emplace(util::JournalWriter::create(
-            path, options_.journal.fsyncEachRecord));
-        util::PayloadWriter meta;
-        meta.u64(fingerprint);
-        meta.u64(trace.size());
-        meta.u32(static_cast<std::uint32_t>(machine_.nodes));
-        writer->write(kSimMetaRecord, kSimMetaVersion, meta);
-        writer->flush();
+        report.resumed = true;
+        report.resumedAtEvent = eventCounter;
+        lastCheckpointEvent = eventCounter;
+        DYNSCHED_LOG(Info)
+            << "resumed simulation from checkpoint at event " << eventCounter
+            << " (" << report.completed.size()
+            << " jobs already completed)";
       }
     } catch (const util::JournalError& e) {
-      throw analysis::AuditError(std::string("simulator journal '") + path +
-                                 "': " + e.what());
-    } catch (const CheckError& e) {
-      throw analysis::AuditError(std::string("simulator journal '") + path +
-                                 "': " + e.what());
+      throw analysis::AuditError(e.what());
     }
     // From here on Ctrl-C must reach the checkpoint-and-flush path below.
     util::installInterruptHandlers();
@@ -633,14 +592,6 @@ SimulationReport RmsSimulator::run(const std::vector<core::Job>& jobs) {
   if (options_.kind == SchedulerKind::DynP) report.dynpStats = dynp.stats();
   report.wallSeconds = wall.elapsedSeconds();
   return report;
-}
-
-SimulationReport RmsSimulator::resume(const std::string& journalPath,
-                                      const std::vector<core::Job>& jobs) {
-  RmsSimulator resumed(machine_, options_);
-  resumed.options_.journal.path = journalPath;
-  resumed.options_.journal.resume = true;
-  return resumed.run(jobs);
 }
 
 double SimulationReport::avgResponseTime() const {

@@ -85,9 +85,10 @@ struct SimOptions {
   /// every `journal.checkpointEvery` processed events — the event clock,
   /// submit cursor, running/waiting sets, dynP policy state, and everything
   /// already reported (completed jobs, switches, captured snapshots). With
-  /// `journal.resume` the run restarts from the last valid checkpoint
-  /// instead of from the first submission; the deterministic event loop
-  /// then reproduces the uninterrupted run exactly (wall clock aside).
+  /// `journal.resume` run() restarts from the last valid checkpoint
+  /// (util::openRunJournal) instead of from the first submission; the
+  /// deterministic event loop then reproduces the uninterrupted run exactly
+  /// (wall clock aside).
   util::RunJournalOptions journal;
 };
 
@@ -155,13 +156,9 @@ class RmsSimulator {
   /// Simulates the full trace (jobs need not be sorted; they are processed
   /// in submit order). Returns the report; the simulator can be reused.
   /// Honours SimOptions::journal (checkpointing, resume, SIGINT/SIGTERM
-  /// degradation to "checkpoint, flush, return partial report").
+  /// degradation to "checkpoint, flush, return partial report"); a journal
+  /// of another run or of a newer build throws analysis::AuditError.
   SimulationReport run(const std::vector<core::Job>& jobs);
-
-  /// Convenience resume entry point: identical to run() with
-  /// `options.journal.path = journalPath` and `options.journal.resume`.
-  SimulationReport resume(const std::string& journalPath,
-                          const std::vector<core::Job>& jobs);
 
  private:
   core::Machine machine_;

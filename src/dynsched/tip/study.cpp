@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <fstream>
 #include <iomanip>
 #include <sstream>
 
@@ -153,53 +152,41 @@ std::size_t readStudyRowPayload(util::PayloadReader& in, StudyRow& row) {
 
 namespace {
 
-/// One journaled study in flight: the writer plus the bookkeeping that
-/// decides what still needs solving. All journal I/O errors surface as
+/// The rows of one study in flight and, with StudyOptions::journal, the
+/// journal that persists them. All journal errors surface as
 /// analysis::AuditError — the structured "this run cannot be trusted"
 /// signal the study layer already uses.
 ///
 /// `mutex_` guards everything the parallel row loop shares: the row/solved
 /// arrays, the journal writer (JournalWriter is thread-compatible, not
 /// thread-safe), and the resume counters. The constructor takes the lock
-/// explicitly even though no workers exist yet, so replay()/writeCursor()
-/// carry one uniform DYNSCHED_REQUIRES contract.
+/// explicitly even though no workers exist yet, so replay() carries one
+/// uniform DYNSCHED_REQUIRES contract.
 class StudyJournal {
  public:
   StudyJournal(const std::vector<sim::StepSnapshot>& snapshots,
                const StudyOptions& options, StudyResumeInfo& info)
-      : options_(options.journal),
-        fingerprint_(studyFingerprint(snapshots, options)),
+      : path_(options.journal.path),
         rows_(snapshots.size()),
         solved_(snapshots.size(), false),
         info_(info) {
     const util::MutexLock lock(mutex_);
-    info_.totalSteps = snapshots.size();
-    const bool haveFile = [&] {
-      std::ifstream probe(options_.path);
-      return probe.good();
-    }();
-    if (options_.resume && haveFile) {
-      replay();
-      util::JournalReadResult read;
-      try {
-        read = util::readJournal(options_.path);
-      } catch (const util::JournalError& e) {
-        throw analysis::AuditError(e.what());
-      }
-      writer_.emplace(util::JournalWriter::append(options_.path, read,
-                                                  options_.fsyncEachRecord));
-    } else {
-      try {
-        writer_.emplace(util::JournalWriter::create(
-            options_.path, options_.fsyncEachRecord));
-      } catch (const util::JournalError& e) {
-        throw analysis::AuditError(e.what());
-      }
-      util::PayloadWriter meta;
-      meta.u64(fingerprint_);
-      meta.u64(rows_.size());
-      writer_->write(kStudyMetaRecord, kStudyMetaVersion, meta);
-      writer_->flush();
+    if (!options.journal.enabled()) return;
+    const std::uint64_t fingerprint = studyFingerprint(snapshots, options);
+    util::PayloadWriter meta;
+    meta.u64(fingerprint);
+    meta.u64(rows_.size());
+    try {
+      util::OpenedJournal opened = util::openRunJournal(
+          options.journal, "study", kStudyMetaRecord, fingerprint, meta,
+          {{kStudyMetaRecord, kStudyMetaVersion},
+           {kStudyRowRecord, kStudyRowVersion}});
+      info_.tailDropped = opened.replay.tailDropped;
+      info_.tailWarning = opened.replay.tailWarning;
+      writer_.emplace(std::move(opened.writer));
+      replay(opened.replay.records);
+    } catch (const util::JournalError& e) {
+      throw analysis::AuditError(e.what());
     }
   }
 
@@ -231,23 +218,19 @@ class StudyJournal {
     return prefix;
   }
 
-  /// Appends one finished row (thread-safe) and fires the kill-at-step
-  /// fault after it is durably framed — the deterministic stand-in for
-  /// SIGKILL in the kill matrix.
+  /// Stores one finished row (thread-safe). A journaled study appends it
+  /// and fires the kill-at-step fault after it is durably framed — the
+  /// deterministic stand-in for SIGKILL in the kill matrix.
   void commit(std::size_t index, const StudyRow& row,
               const util::FaultPlan& faults) DYNSCHED_EXCLUDES(mutex_) {
     const util::MutexLock lock(mutex_);
     rows_[index] = row;
     solved_[index] = true;
     ++info_.solvedRows;
+    if (!writer_) return;
     util::PayloadWriter payload;
     writeStudyRowPayload(row, index, payload);
     writer_->write(kStudyRowRecord, kStudyRowVersion, payload);
-    ++written_;
-    if (options_.checkpointEvery > 0 &&
-        written_ % options_.checkpointEvery == 0) {
-      writeCursor();
-    }
     if (faults.killsAtStep(static_cast<long>(index))) {
       // Flush so the row above survives, then die the way a SIGKILL would:
       // no unwinding, no atexit, nothing else reaches the disk.
@@ -258,96 +241,40 @@ class StudyJournal {
 
   void finish() DYNSCHED_EXCLUDES(mutex_) {
     const util::MutexLock lock(mutex_);
-    writeCursor();
-    writer_->flush();
+    if (writer_) writer_->flush();
   }
 
  private:
-  void writeCursor() DYNSCHED_REQUIRES(mutex_) {
-    util::PayloadWriter cursor;
-    cursor.u64(written_);
-    std::size_t next = rows_.size();
-    for (std::size_t i = 0; i < solved_.size(); ++i) {
-      if (!solved_[i]) {
-        next = i;
-        break;
-      }
-    }
-    cursor.u64(next);
-    writer_->write(kStudyCursorRecord, kStudyCursorVersion, cursor);
-  }
-
-  void replay() DYNSCHED_REQUIRES(mutex_) {
-    util::JournalReadResult read;
-    try {
-      read = util::readJournal(options_.path);
-    } catch (const util::JournalError& e) {
-      throw analysis::AuditError(e.what());
-    }
-    if (read.tailDropped) {
-      info_.tailDropped = true;
-      info_.tailWarning = read.tailWarning;
-      DYNSCHED_LOG(Warn) << read.tailWarning;
-    }
-    if (read.records.empty() || read.records[0].type != kStudyMetaRecord) {
-      throw analysis::AuditError(
-          "study journal '" + options_.path +
-          "' has no study-meta record; it was not written by runStudy");
-    }
-    for (const util::JournalRecord& record : read.records) {
+  void replay(const std::vector<util::JournalRecord>& records)
+      DYNSCHED_REQUIRES(mutex_) {
+    for (const util::JournalRecord& record : records) {
+      // openRunJournal checked the meta record; other types are additive
+      // extensions (or the cursor records of older builds): skip.
+      if (record.type != kStudyRowRecord) continue;
+      StudyRow row;
+      std::size_t index = 0;
       try {
-        if (record.type == kStudyMetaRecord) {
-          checkVersion(record, kStudyMetaVersion);
-          util::PayloadReader in(record.payload);
-          const std::uint64_t fingerprint = in.u64();
-          const std::uint64_t count = in.u64();
-          if (fingerprint != fingerprint_ || count != rows_.size()) {
-            throw analysis::AuditError(
-                "study journal '" + options_.path +
-                "' belongs to a different study (fingerprint/step-count "
-                "mismatch); refusing to mix runs — start a fresh journal");
-          }
-        } else if (record.type == kStudyRowRecord) {
-          checkVersion(record, kStudyRowVersion);
-          util::PayloadReader in(record.payload);
-          StudyRow row;
-          const std::size_t index = readStudyRowPayload(in, row);
-          if (index >= rows_.size()) {
-            throw analysis::AuditError(
-                "study journal '" + options_.path + "' row index " +
-                std::to_string(index) + " is out of range");
-          }
-          if (!solved_[index]) ++info_.replayedRows;
-          rows_[index] = std::move(row);
-          solved_[index] = true;
-        } else if (record.type == kStudyCursorRecord) {
-          checkVersion(record, kStudyCursorVersion);
-        }
-        // Unknown record types are additive extensions: skip.
+        util::PayloadReader in(record.payload);
+        index = readStudyRowPayload(in, row);
       } catch (const util::JournalError& e) {
-        throw analysis::AuditError(std::string("study journal '") +
-                                   options_.path + "': " + e.what());
+        throw analysis::AuditError("study journal '" + path_ + "': " +
+                                   e.what());
       } catch (const CheckError& e) {
-        throw analysis::AuditError(std::string("study journal '") +
-                                   options_.path + "': " + e.what());
+        throw analysis::AuditError("study journal '" + path_ + "': " +
+                                   e.what());
       }
+      if (index >= rows_.size()) {
+        throw analysis::AuditError("study journal '" + path_ +
+                                   "' row index " + std::to_string(index) +
+                                   " is out of range");
+      }
+      if (!solved_[index]) ++info_.replayedRows;
+      rows_[index] = std::move(row);
+      solved_[index] = true;
     }
   }
 
-  void checkVersion(const util::JournalRecord& record,
-                    std::uint16_t supported) const {
-    if (record.version > supported) {
-      throw analysis::AuditError(
-          "study journal '" + options_.path + "' record type " +
-          std::to_string(record.type) + " has version " +
-          std::to_string(record.version) + "; this build reads up to " +
-          std::to_string(supported) +
-          " — the journal was written by a newer build");
-    }
-  }
-
-  util::RunJournalOptions options_;
-  std::uint64_t fingerprint_ = 0;
+  std::string path_;
   mutable util::Mutex mutex_;
   std::vector<StudyRow> rows_ DYNSCHED_GUARDED_BY(mutex_);
   std::vector<bool> solved_ DYNSCHED_GUARDED_BY(mutex_);
@@ -355,19 +282,24 @@ class StudyJournal {
   // the owner only reads them after the worker pool has been joined.
   StudyResumeInfo& info_;
   std::optional<util::JournalWriter> writer_ DYNSCHED_GUARDED_BY(mutex_);
-  std::uint64_t written_ DYNSCHED_GUARDED_BY(mutex_) = 0;
 };
 
-std::vector<StudyRow> runStudyJournaled(
-    const std::vector<sim::StepSnapshot>& snapshots,
-    const StudyOptions& options, unsigned threads, StudyResumeInfo& info) {
-  StudyJournal journal(snapshots, options, info);
+}  // namespace
+
+std::vector<StudyRow> runStudy(const std::vector<sim::StepSnapshot>& snapshots,
+                               const StudyOptions& options, unsigned threads,
+                               StudyResumeInfo* info) {
+  StudyResumeInfo localInfo;
+  StudyResumeInfo& out = info != nullptr ? *info : localInfo;
+  out = StudyResumeInfo{};
+  out.totalSteps = snapshots.size();
+  StudyJournal journal(snapshots, options, out);
   const util::FaultPlan faults = options.faults.has_value()
                                      ? *options.faults
                                      : util::FaultPlan::fromEnv();
   // From here on a Ctrl-C must reach the journal shutdown path, not kill
   // the process mid-append.
-  util::installInterruptHandlers();
+  if (options.journal.enabled()) util::installInterruptHandlers();
 
   const auto solveOne = [&](std::size_t i) {
     if (journal.solved(i) || util::interruptRequested()) return;
@@ -375,7 +307,7 @@ std::vector<StudyRow> runStudyJournaled(
         runStep(snapshots[i], options, static_cast<long>(i));
     if (util::interruptRequested()) {
       // The interrupt may have degraded this very solve (the token cancels
-      // cooperatively); journaling it would persist an artifact of the
+      // cooperatively); keeping it would persist an artifact of the
       // Ctrl-C. Drop it — resume re-solves the step cleanly.
       return;
     }
@@ -391,54 +323,18 @@ std::vector<StudyRow> runStudyJournaled(
   journal.finish();
 
   if (util::interruptRequested()) {
-    info.interrupted = true;
+    out.interrupted = true;
     util::clearInterrupt();
-    DYNSCHED_LOG(Warn) << "study interrupted after " << info.solvedRows
-                       << " newly solved rows; journal flushed — resume to "
-                          "continue";
+    DYNSCHED_LOG(Warn) << "study interrupted after " << out.solvedRows
+                       << " newly solved rows"
+                       << (options.journal.enabled()
+                               ? "; journal flushed — resume to continue"
+                               : "");
     // Hand back the contiguous finished prefix; later rows (already safe in
     // the journal, if any) reappear on resume.
     return journal.finishedPrefix();
   }
   return journal.takeRows();
-}
-
-}  // namespace
-
-std::vector<StudyRow> runStudy(const std::vector<sim::StepSnapshot>& snapshots,
-                               const StudyOptions& options, unsigned threads,
-                               StudyResumeInfo* info) {
-  StudyResumeInfo localInfo;
-  StudyResumeInfo& out = info != nullptr ? *info : localInfo;
-  out = StudyResumeInfo{};
-  out.totalSteps = snapshots.size();
-  if (options.journal.enabled()) {
-    return runStudyJournaled(snapshots, options, threads, out);
-  }
-  std::vector<StudyRow> rows(snapshots.size());
-  if (threads <= 1 || snapshots.size() <= 1) {
-    for (std::size_t i = 0; i < snapshots.size(); ++i) {
-      rows[i] = runStep(snapshots[i], options, static_cast<long>(i));
-    }
-    out.solvedRows = rows.size();
-    return rows;
-  }
-  util::ThreadPool pool(threads);
-  pool.parallelFor(snapshots.size(), [&](std::size_t i) {
-    rows[i] = runStep(snapshots[i], options, static_cast<long>(i));
-  });
-  out.solvedRows = rows.size();
-  return rows;
-}
-
-std::vector<StudyRow> resumeStudy(
-    const std::string& journalPath,
-    const std::vector<sim::StepSnapshot>& snapshots,
-    const StudyOptions& options, unsigned threads, StudyResumeInfo* info) {
-  StudyOptions resumed = options;
-  resumed.journal.path = journalPath;
-  resumed.journal.resume = true;
-  return runStudy(snapshots, resumed, threads, info);
 }
 
 std::string studyReportText(const std::vector<StudyRow>& rows,

@@ -17,13 +17,13 @@
 //
 // With StudyOptions::journal enabled the study is additionally crash-safe:
 // every finished row (including its supervised provenance) is appended to a
-// checksummed run journal, the study cursor is checkpointed periodically,
-// and SIGINT/SIGTERM degrade to "flush the journal and stop" instead of
-// losing the run. runStudy() with journal.resume replays the journal's
-// valid rows, drops a torn tail with a structured warning, and re-solves
-// only what is missing — run → kill → resume reproduces an uninterrupted
-// run bit for bit (wall-clock fields aside, which studyReportText()
-// excludes from the canonical comparison).
+// checksummed run journal, and SIGINT/SIGTERM degrade to "flush the journal
+// and stop" instead of losing the run. runStudy() with journal.resume
+// replays the journal's valid rows (util::openRunJournal), drops a torn
+// tail with a structured warning, and re-solves only what is missing —
+// run → kill → resume reproduces an uninterrupted run bit for bit
+// (wall-clock fields aside, which studyReportText() excludes from the
+// canonical comparison).
 #pragma once
 
 #include <array>
@@ -100,21 +100,20 @@ StudyRow runStep(const sim::StepSnapshot& snapshot,
 
 /// Study-journal record types (namespaced 1..9) and their current schema
 /// versions. A resume refuses records of a known type with a newer version
-/// (see DESIGN.md, journal format policy).
+/// (see DESIGN.md, journal format policy). Type 3 was a cursor record that
+/// nothing read; journals that still hold one skip it as an unknown type.
 inline constexpr std::uint16_t kStudyMetaRecord = 1;
 inline constexpr std::uint16_t kStudyRowRecord = 2;
-inline constexpr std::uint16_t kStudyCursorRecord = 3;
 inline constexpr std::uint16_t kStudyMetaVersion = 1;
 inline constexpr std::uint16_t kStudyRowVersion = 1;
-inline constexpr std::uint16_t kStudyCursorVersion = 1;
 
-/// What a journaled runStudy() did — how much was replayed vs solved, and
-/// whether a torn tail was dropped or an interrupt stopped the run early.
+/// What runStudy() did — how much was replayed vs solved, and whether a
+/// torn tail was dropped or an interrupt stopped the run early.
 struct StudyResumeInfo {
   std::size_t totalSteps = 0;
   std::size_t replayedRows = 0;  ///< rows taken verbatim from the journal
   std::size_t solvedRows = 0;    ///< rows solved (and journaled) this run
-  bool interrupted = false;      ///< SIGINT/SIGTERM stopped the run early
+  bool interrupted = false;      ///< an interrupt stopped the run early
   bool tailDropped = false;      ///< the journal had a torn/corrupt tail
   std::string tailWarning;       ///< structured description of that tail
 };
@@ -127,12 +126,12 @@ std::uint64_t studyFingerprint(const std::vector<sim::StepSnapshot>& snapshots,
                                const StudyOptions& options);
 
 /// Serialization of one row (kStudyRowRecord payload). Exposed so tests can
-/// craft records; `readStudyRowPayload` throws analysis::AuditError (via
-/// util::JournalError conversion at the call site) on malformed payloads.
+/// craft records.
 void writeStudyRowPayload(const StudyRow& row, std::size_t index,
                           util::PayloadWriter& out);
 /// Parses a row payload; throws util::JournalError on underrun and
-/// analysis::AuditError on out-of-range enum values.
+/// CheckError on out-of-range enum values (runStudy() reports both as
+/// analysis::AuditError).
 std::size_t readStudyRowPayload(util::PayloadReader& in, StudyRow& row);
 
 /// Canonical, deterministic text dump of a study (one line per row plus the
@@ -144,27 +143,20 @@ std::string studyReportText(const std::vector<StudyRow>& rows,
                             bool includeTiming = false);
 
 /// Runs every snapshot (optionally on `threads` workers) in input order.
+/// An interrupt (util::interruptRequested()) stops the run and returns the
+/// contiguous finished prefix with `info->interrupted`.
 ///
 /// With `options.journal` enabled: appends one record per finished row,
-/// checkpoints the cursor every `checkpointEvery` rows, installs the
-/// SIGINT/SIGTERM handler (interruption flushes and returns the contiguous
-/// finished prefix with `info->interrupted`), honours the deterministic
-/// `kill-at-step=N` fault by exiting the process (code
-/// util::kKillFaultExitCode) right after persisting row N, and — when
-/// `journal.resume` is set and the file exists — replays valid rows instead
-/// of re-solving them. `info` (optional) reports what happened.
+/// installs the SIGINT/SIGTERM handler (an interrupt also flushes the
+/// journal), honours the deterministic `kill-at-step=N` fault by exiting
+/// the process (code util::kKillFaultExitCode) right after persisting row
+/// N, and — when `journal.resume` is set and the file holds a journal of
+/// this study — replays valid rows instead of re-solving them. A journal of
+/// another study or of a newer build throws analysis::AuditError. `info`
+/// (optional) reports what happened.
 std::vector<StudyRow> runStudy(const std::vector<sim::StepSnapshot>& snapshots,
                                const StudyOptions& options,
                                unsigned threads = 1,
                                StudyResumeInfo* info = nullptr);
-
-/// Convenience entry point: resume (or start) a journaled study at
-/// `journalPath`. Identical to runStudy() with `options.journal.path =
-/// journalPath` and `options.journal.resume = true`.
-std::vector<StudyRow> resumeStudy(
-    const std::string& journalPath,
-    const std::vector<sim::StepSnapshot>& snapshots,
-    const StudyOptions& options, unsigned threads = 1,
-    StudyResumeInfo* info = nullptr);
 
 }  // namespace dynsched::tip

@@ -11,6 +11,9 @@
 #include <sstream>
 #include <utility>
 
+#include "dynsched/util/error.hpp"
+#include "dynsched/util/logging.hpp"
+
 namespace dynsched::util {
 
 namespace {
@@ -261,26 +264,17 @@ JournalReadResult readJournal(const std::string& path) {
   return result;
 }
 
-JournalWriter::JournalWriter(int fd, std::string path, bool fsyncEachRecord,
-                             std::uint64_t startOffset)
-    : fd_(fd),
-      path_(std::move(path)),
-      fsyncEachRecord_(fsyncEachRecord),
-      bytesWritten_(startOffset) {}
+JournalWriter::JournalWriter(int fd, std::string path)
+    : fd_(fd), path_(std::move(path)) {}
 
 JournalWriter::JournalWriter(JournalWriter&& other) noexcept
-    : fd_(std::exchange(other.fd_, -1)),
-      path_(std::move(other.path_)),
-      fsyncEachRecord_(other.fsyncEachRecord_),
-      bytesWritten_(other.bytesWritten_) {}
+    : fd_(std::exchange(other.fd_, -1)), path_(std::move(other.path_)) {}
 
 JournalWriter& JournalWriter::operator=(JournalWriter&& other) noexcept {
   if (this != &other) {
     if (fd_ >= 0) ::close(fd_);
     fd_ = std::exchange(other.fd_, -1);
     path_ = std::move(other.path_);
-    fsyncEachRecord_ = other.fsyncEachRecord_;
-    bytesWritten_ = other.bytesWritten_;
   }
   return *this;
 }
@@ -289,21 +283,18 @@ JournalWriter::~JournalWriter() {
   if (fd_ >= 0) ::close(fd_);
 }
 
-JournalWriter JournalWriter::create(const std::string& path,
-                                    bool fsyncEachRecord) {
+JournalWriter JournalWriter::create(const std::string& path) {
   const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) throwErrno("cannot create journal", path);
-  JournalWriter writer(fd, path, fsyncEachRecord, 0);
+  JournalWriter writer(fd, path);
   const std::string header = headerBytes();
   writeAll(fd, header.data(), header.size(), path);
-  writer.bytesWritten_ = header.size();
   writer.flush();
   return writer;
 }
 
 JournalWriter JournalWriter::append(const std::string& path,
-                                    const JournalReadResult& read,
-                                    bool fsyncEachRecord) {
+                                    const JournalReadResult& read) {
   const int fd = ::open(path.c_str(), O_WRONLY, 0644);
   if (fd < 0) throwErrno("cannot reopen journal", path);
   // Drop the torn tail (if any) before appending: everything after
@@ -317,7 +308,7 @@ JournalWriter JournalWriter::append(const std::string& path,
     ::close(fd);
     throwErrno("cannot seek in journal", path);
   }
-  return JournalWriter(fd, path, fsyncEachRecord, read.validBytes);
+  return JournalWriter(fd, path);
 }
 
 void JournalWriter::write(std::uint16_t type, std::uint16_t version,
@@ -336,13 +327,64 @@ void JournalWriter::write(std::uint16_t type, std::uint16_t version,
   putU32(frame, crc);
   frame.append(payload.data(), payload.size());
   writeAll(fd_, frame.data(), frame.size(), path_);
-  bytesWritten_ += frame.size();
-  if (fsyncEachRecord_) flush();
 }
 
 void JournalWriter::flush() {
   if (fd_ < 0) return;
   if (::fsync(fd_) != 0) throwErrno("cannot fsync journal", path_);
+}
+
+OpenedJournal openRunJournal(const RunJournalOptions& options,
+                             std::string_view owner, std::uint16_t metaType,
+                             std::uint64_t fingerprint,
+                             const PayloadWriter& meta,
+                             std::initializer_list<RecordVersion> versions) {
+  const std::string& path = options.path;
+  const std::string journal =
+      std::string(owner) + " journal '" + path + "'";
+  JournalReadResult replay;
+  if (options.resume && std::ifstream(path).good()) {
+    replay = readJournal(path);
+    if (replay.tailDropped) DYNSCHED_LOG(Warn) << replay.tailWarning;
+    if (!replay.records.empty() && replay.records.front().type != metaType) {
+      throw JournalError(journal + " does not start with its meta record; "
+                         "it was not written by the " + std::string(owner));
+    }
+    for (const JournalRecord& record : replay.records) {
+      for (const RecordVersion& known : versions) {
+        if (record.type == known.type && record.version > known.version) {
+          throw JournalError(
+              journal + " record type " + std::to_string(record.type) +
+              " has version " + std::to_string(record.version) +
+              "; this build reads up to " + std::to_string(known.version) +
+              " — the journal was written by a newer build");
+        }
+      }
+      if (record.type == metaType &&
+          PayloadReader(record.payload).u64() != fingerprint) {
+        throw JournalError(journal + " belongs to a different run "
+                           "(fingerprint mismatch); refusing to mix runs — "
+                           "start a fresh journal (without --resume)");
+      }
+    }
+    if (!replay.records.empty()) {
+      JournalWriter writer = JournalWriter::append(path, replay);
+      return OpenedJournal{std::move(replay), std::move(writer)};
+    }
+  }
+  // A fresh run, or a resumed file that died before its meta record was
+  // written (a bare header, perhaps plus a torn tail): start over.
+  const RecordVersion* metaVersion = nullptr;
+  for (const RecordVersion& known : versions) {
+    if (known.type == metaType) metaVersion = &known;
+  }
+  DYNSCHED_CHECK_MSG(metaVersion != nullptr,
+                     owner << " journal: meta record type " << metaType
+                           << " has no listed version");
+  JournalWriter writer = JournalWriter::create(path);
+  writer.write(metaType, metaVersion->version, meta);
+  writer.flush();
+  return OpenedJournal{std::move(replay), std::move(writer)};
 }
 
 }  // namespace dynsched::util

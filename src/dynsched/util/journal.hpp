@@ -1,10 +1,10 @@
 // Crash-safe run journal: append-only, checksummed, length-prefixed binary
 // records with torn-tail tolerance.
 //
-// A long study or simulation writes one record per unit of completed work
-// (plus periodic checkpoints of its cursor/state) so that a crash, OOM-kill,
-// or Ctrl-C loses at most the step that was in flight. The format is built
-// for exact resume:
+// A long study, simulation or server writes one record per unit of
+// completed work (the simulator: periodic checkpoints of its state) so that
+// a crash, OOM-kill, or Ctrl-C loses at most the step that was in flight.
+// The format is built for exact resume:
 //
 //   file   = header record*
 //   header = magic "DSJRNL1\n" (8 bytes) | formatVersion u32 | crc32 u32
@@ -25,10 +25,12 @@
 // are namespaced by the owning subsystem and may be added freely (readers
 // skip unknown types); the per-record `version` bumps when a payload schema
 // changes, and a reader that sees a known type with a newer version must
-// refuse rather than misparse.
+// refuse rather than misparse. openRunJournal() applies this policy for
+// every journal owner.
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -36,9 +38,10 @@
 
 namespace dynsched::util {
 
-/// Structured journal failure: missing/unopenable file, bad magic, or an
-/// incompatible format version. (A torn tail is NOT an error — readAll()
-/// reports it in the result so the caller can resume.)
+/// Structured journal failure: missing/unopenable file, bad magic, an
+/// incompatible format version, or (openRunJournal) a journal of another run
+/// or of a newer build. (A torn tail is NOT an error — readJournal() reports
+/// it in the result so the caller can resume.)
 class JournalError : public std::runtime_error {
  public:
   explicit JournalError(const std::string& what) : std::runtime_error(what) {}
@@ -62,19 +65,17 @@ std::uint64_t fnv1a64(const void* data, std::size_t size,
 /// (the target is left untouched and the temp file is removed).
 void atomicWriteFile(const std::string& path, std::string_view contents);
 
-/// Journaling knobs threaded through StudyOptions / SimOptions.
+/// Journaling knobs threaded through StudyOptions / SimOptions /
+/// ServiceOptions.
 struct RunJournalOptions {
   /// Journal file path; empty disables journaling entirely.
   std::string path;
   /// Replay an existing journal at `path` before doing new work; a missing
   /// file falls back to a fresh run (so `--resume` is safe on first launch).
   bool resume = false;
-  /// Write a cursor/state checkpoint record every this many completed units
-  /// (study rows / simulator events). 0 disables periodic checkpoints.
+  /// Simulator only: write a state checkpoint record every this many
+  /// processed events. 0 disables periodic checkpoints.
   std::size_t checkpointEvery = 16;
-  /// fsync(2) after every record instead of only on flush()/close — survives
-  /// power loss, costs a disk round trip per record.
-  bool fsyncEachRecord = false;
 
   bool enabled() const { return !path.empty(); }
 };
@@ -131,7 +132,7 @@ struct JournalRecord {
   std::string payload;
 };
 
-/// Everything readAll() recovered from a journal file.
+/// Everything readJournal() recovered from a journal file.
 struct JournalReadResult {
   std::vector<JournalRecord> records;  ///< records that verified, in order
   /// Bytes of the verified prefix (header + valid records); append() resumes
@@ -151,9 +152,10 @@ struct JournalReadResult {
 /// version throws JournalError.
 JournalReadResult readJournal(const std::string& path);
 
-/// Appending writer. Records become durable in order; flush() (and the
-/// destructor) pushes buffered bytes to the OS, fsync is optional per
-/// record. Move-only.
+/// Appending writer. Each write() hands its whole record to the OS in one
+/// write(2) call, so records reach the file in order and nothing is
+/// buffered in-process; flush() fsyncs them to the disk, and the destructor
+/// only closes the file. Move-only.
 class JournalWriter {
  public:
   JournalWriter(JournalWriter&& other) noexcept;
@@ -162,16 +164,14 @@ class JournalWriter {
   JournalWriter& operator=(const JournalWriter&) = delete;
   ~JournalWriter();
 
-  /// Creates (or truncates) `path` and writes a fresh header.
-  static JournalWriter create(const std::string& path,
-                              bool fsyncEachRecord = false);
+  /// Creates (or truncates) `path`, writes a fresh header and fsyncs it.
+  static JournalWriter create(const std::string& path);
 
   /// Re-opens an existing journal for appending after readJournal():
   /// truncates the file to `read.validBytes` — dropping any torn tail — and
   /// positions at the end.
   static JournalWriter append(const std::string& path,
-                              const JournalReadResult& read,
-                              bool fsyncEachRecord = false);
+                              const JournalReadResult& read);
 
   void write(std::uint16_t type, std::uint16_t version,
              std::string_view payload);
@@ -180,19 +180,48 @@ class JournalWriter {
     write(type, version, payload.bytes());
   }
 
-  /// Flushes to the OS (and fsyncs when configured per record).
+  /// fsync(2)s everything written so far.
   void flush();
 
-  std::uint64_t bytesWritten() const { return bytesWritten_; }
-
  private:
-  JournalWriter(int fd, std::string path, bool fsyncEachRecord,
-                std::uint64_t startOffset);
+  JournalWriter(int fd, std::string path);
 
   int fd_ = -1;
   std::string path_;
-  bool fsyncEachRecord_ = false;
-  std::uint64_t bytesWritten_ = 0;
 };
+
+/// A record type its owner parses, with the newest schema version it reads.
+struct RecordVersion {
+  std::uint16_t type = 0;
+  std::uint16_t version = 0;
+};
+
+/// A run journal opened for appending, with what it replayed.
+struct OpenedJournal {
+  /// The resumed file's verified records (none for a fresh journal). The
+  /// torn-tail fields are set even when the resumed file held no valid
+  /// record and therefore started over.
+  JournalReadResult replay;
+  JournalWriter writer;
+};
+
+/// The one open/resume protocol of every journal owner (study, simulator,
+/// server); the owner only parses its own payloads from `replay.records`.
+///
+/// With `options.resume` and an existing file: reads it once and logs a
+/// torn tail. Throws JournalError, naming `owner`, when the first record is
+/// not `metaType`, when a `metaType` record's leading u64 is not
+/// `fingerprint` (a journal of another run), or when a record of a type in
+/// `versions` has a newer version than listed there (unlisted types are
+/// the owner's to skip). Otherwise truncates the torn tail and appends.
+///
+/// Without a file to resume — and when the resumed file holds no valid
+/// record — creates `path`, writes `meta` as a `metaType` record (its
+/// version is the one `versions` lists) and fsyncs it.
+OpenedJournal openRunJournal(const RunJournalOptions& options,
+                             std::string_view owner, std::uint16_t metaType,
+                             std::uint64_t fingerprint,
+                             const PayloadWriter& meta,
+                             std::initializer_list<RecordVersion> versions);
 
 }  // namespace dynsched::util

@@ -1,8 +1,9 @@
 // Crash-safe journal tests: CRC/framing round trips, atomic file writes,
-// and — the satellite's core — the corruption suite: truncated tail, flipped
-// checksum byte, mid-record EOF, empty file, and future-version records must
-// each either resume (dropping the bad tail) or fail with a structured
-// error, never UB (this suite runs under ASan/UBSan in CI).
+// the corruption suite — truncated tail, flipped checksum byte, mid-record
+// EOF, empty file, and future-version records must each either resume
+// (dropping the bad tail) or fail with a structured error, never UB (this
+// suite runs under ASan/UBSan in CI) — and the openRunJournal protocol that
+// every journal owner resumes through.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -294,6 +295,171 @@ TEST(JournalCorruption, MidFrameEofDropsTail) {
   const JournalReadResult read = readJournal(path);
   EXPECT_TRUE(read.tailDropped);
   ASSERT_EQ(read.records.size(), 1u);
+  std::remove(path.c_str());
+}
+
+// ------------------------------------------------------- openRunJournal
+
+constexpr std::uint16_t kTestMeta = 1;
+constexpr std::uint16_t kTestRow = 2;
+
+PayloadWriter testMeta(std::uint64_t fingerprint) {
+  PayloadWriter meta;
+  meta.u64(fingerprint);
+  return meta;
+}
+
+OpenedJournal openTestJournal(const std::string& path, bool resume,
+                              std::uint64_t fingerprint) {
+  RunJournalOptions options;
+  options.path = path;
+  options.resume = resume;
+  return openRunJournal(options, "test", kTestMeta, fingerprint,
+                        testMeta(fingerprint),
+                        {{kTestMeta, 1}, {kTestRow, 1}});
+}
+
+void writeRow(JournalWriter& writer, std::uint64_t value,
+              std::uint16_t version = 1) {
+  PayloadWriter row;
+  row.u64(value);
+  writer.write(kTestRow, version, row);
+}
+
+TEST(OpenRunJournal, FreshJournalStartsWithTheMetaRecord) {
+  const std::string path = tempPath("open-fresh.jrnl");
+  std::remove(path.c_str());
+  {
+    // `resume` with no file to resume falls back to a fresh journal.
+    OpenedJournal opened = openTestJournal(path, true, 7);
+    EXPECT_TRUE(opened.replay.records.empty());
+    EXPECT_FALSE(opened.replay.tailDropped);
+    writeRow(opened.writer, 1);
+  }
+  const JournalReadResult read = readJournal(path);
+  ASSERT_EQ(read.records.size(), 2u);
+  EXPECT_EQ(read.records[0].type, kTestMeta);
+  EXPECT_EQ(read.records[0].version, 1);
+  EXPECT_EQ(read.records[0].payload, testMeta(7).bytes());
+  EXPECT_EQ(read.records[1].type, kTestRow);
+
+  // Resuming hands back every record, meta first, and appends after them.
+  {
+    OpenedJournal opened = openTestJournal(path, true, 7);
+    ASSERT_EQ(opened.replay.records.size(), 2u);
+    EXPECT_EQ(opened.replay.records[0].type, kTestMeta);
+    writeRow(opened.writer, 2);
+  }
+  EXPECT_EQ(readJournal(path).records.size(), 3u);
+  std::remove(path.c_str());
+}
+
+TEST(OpenRunJournal, AnotherRunsFingerprintThrowsAndWithoutResumeIsReplaced) {
+  const std::string path = tempPath("open-foreign.jrnl");
+  {
+    OpenedJournal opened = openTestJournal(path, false, 7);
+    writeRow(opened.writer, 1);
+  }
+  EXPECT_THROW(openTestJournal(path, true, 8), JournalError);
+  EXPECT_EQ(readJournal(path).records.size(), 2u);  // refused, untouched
+
+  // Without `resume` the other run's journal is replaced, not mixed in.
+  { OpenedJournal opened = openTestJournal(path, false, 8); }
+  const JournalReadResult read = readJournal(path);
+  ASSERT_EQ(read.records.size(), 1u);
+  EXPECT_EQ(read.records[0].payload, testMeta(8).bytes());
+  std::remove(path.c_str());
+}
+
+TEST(OpenRunJournal, NewerListedVersionThrowsWhileUnlistedTypeIsSkipped) {
+  const std::string path = tempPath("open-versions.jrnl");
+  {
+    OpenedJournal opened = openTestJournal(path, false, 7);
+    PayloadWriter unknown;
+    unknown.str("a record type this build never knew");
+    opened.writer.write(9, 5, unknown);
+  }
+  {
+    OpenedJournal opened = openTestJournal(path, true, 7);
+    ASSERT_EQ(opened.replay.records.size(), 2u);
+    EXPECT_EQ(opened.replay.records[1].type, 9);  // the owner's to skip
+    writeRow(opened.writer, 1, /*version=*/2);
+  }
+  try {
+    openTestJournal(path, true, 7);
+    FAIL() << "expected JournalError";
+  } catch (const JournalError& e) {
+    EXPECT_NE(std::string(e.what()).find("newer build"), std::string::npos)
+        << e.what();
+  }
+  std::remove(path.c_str());
+}
+
+TEST(OpenRunJournal, FirstRecordThatIsNotMetaThrows) {
+  const std::string path = tempPath("open-nometa.jrnl");
+  {
+    JournalWriter writer = JournalWriter::create(path);
+    writeRow(writer, 1);
+  }
+  EXPECT_THROW(openTestJournal(path, true, 7), JournalError);
+  std::remove(path.c_str());
+}
+
+TEST(OpenRunJournal, BareHeaderResumesFresh) {
+  const std::string path = tempPath("open-bare.jrnl");
+  JournalWriter::create(path);  // killed before the meta record
+  {
+    OpenedJournal opened = openTestJournal(path, true, 7);
+    EXPECT_TRUE(opened.replay.records.empty());
+    EXPECT_FALSE(opened.replay.tailDropped);
+  }
+  JournalReadResult read = readJournal(path);
+  ASSERT_EQ(read.records.size(), 1u);
+  EXPECT_EQ(read.records[0].payload, testMeta(7).bytes());
+
+  // A bare header plus a torn first record restarts too, and still reports
+  // the tail it dropped.
+  JournalWriter::create(path);
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::app);
+    out << "XXXXX";
+  }
+  {
+    OpenedJournal opened = openTestJournal(path, true, 7);
+    EXPECT_TRUE(opened.replay.records.empty());
+    EXPECT_TRUE(opened.replay.tailDropped);
+    EXPECT_EQ(opened.replay.droppedBytes, 5u);
+  }
+  read = readJournal(path);
+  EXPECT_FALSE(read.tailDropped);
+  ASSERT_EQ(read.records.size(), 1u);
+  EXPECT_EQ(read.records[0].type, kTestMeta);
+  std::remove(path.c_str());
+}
+
+TEST(OpenRunJournal, TornTailIsTruncatedBeforeTheFirstAppend) {
+  const std::string path = tempPath("open-torn.jrnl");
+  {
+    OpenedJournal opened = openTestJournal(path, false, 7);
+    writeRow(opened.writer, 1);
+  }
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::app);
+    out << "XXXXX";
+  }
+  {
+    OpenedJournal opened = openTestJournal(path, true, 7);
+    EXPECT_TRUE(opened.replay.tailDropped);
+    EXPECT_FALSE(opened.replay.tailWarning.empty());
+    EXPECT_EQ(opened.replay.droppedBytes, 5u);
+    EXPECT_EQ(opened.replay.records.size(), 2u);
+    writeRow(opened.writer, 2);
+  }
+  const JournalReadResult read = readJournal(path);
+  EXPECT_FALSE(read.tailDropped);
+  ASSERT_EQ(read.records.size(), 3u);
+  PayloadReader row(read.records[2].payload);
+  EXPECT_EQ(row.u64(), 2u);
   std::remove(path.c_str());
 }
 

@@ -441,7 +441,7 @@ TEST(SchedulerServiceTest, ResumeRejectsAJournalFromAnotherConfiguration) {
   mismatched.journal.path = path;
   mismatched.journal.resume = true;
   mismatched.defaultMaxNodes = 77;  // part of the config fingerprint
-  EXPECT_THROW(SchedulerService service(mismatched), CheckError);
+  EXPECT_THROW(SchedulerService service(mismatched), util::JournalError);
   std::remove(path.c_str());
 }
 

@@ -13,6 +13,7 @@
 #include "dynsched/trace/filters.hpp"
 #include "dynsched/trace/synthetic.hpp"
 #include "dynsched/util/error.hpp"
+#include "dynsched/util/journal.hpp"
 #include "dynsched/util/rng.hpp"
 
 namespace dynsched::sim {
@@ -404,12 +405,13 @@ std::string deterministicDigest(const SimulationReport& r) {
   return os.str();
 }
 
-SimOptions journaledDynP(const std::string& path) {
+SimOptions journaledDynP(const std::string& path, bool resume = false) {
   SimOptions options;
   options.kind = SchedulerKind::DynP;
   options.snapshots.enabled = true;
   options.snapshots.minWaiting = 2;
   options.journal.path = path;
+  options.journal.resume = resume;
   options.journal.checkpointEvery = 8;
   return options;
 }
@@ -457,8 +459,8 @@ TEST(SimulatorJournal, TornJournalResumesFromLastCheckpoint) {
               static_cast<std::streamsize>(bytes.size() / 2));
   }
 
-  RmsSimulator again(core::Machine{430}, journaledDynP(""));
-  const auto resumed = again.resume(path, jobs);
+  RmsSimulator again(core::Machine{430}, journaledDynP(path, true));
+  const auto resumed = again.run(jobs);
   EXPECT_TRUE(resumed.resumed || resumed.tailDropped);
   EXPECT_EQ(deterministicDigest(resumed), deterministicDigest(reference));
   std::remove(path.c_str());
@@ -471,8 +473,8 @@ TEST(SimulatorJournal, ResumeOfCompletedRunReplaysToTheEnd) {
   RmsSimulator sim(core::Machine{430}, journaledDynP(path));
   const auto reference = sim.run(jobs);
 
-  RmsSimulator again(core::Machine{430}, journaledDynP(""));
-  const auto resumed = again.resume(path, jobs);
+  RmsSimulator again(core::Machine{430}, journaledDynP(path, true));
+  const auto resumed = again.run(jobs);
   EXPECT_TRUE(resumed.resumed);
   EXPECT_EQ(deterministicDigest(resumed), deterministicDigest(reference));
   std::remove(path.c_str());
@@ -487,8 +489,25 @@ TEST(SimulatorJournal, ForeignJournalFailsStructurally) {
 
   // Same options, different trace → different fingerprint → refuse.
   const auto other = core::fromSwf(trace::ctcModel().generate(100, 45));
-  RmsSimulator again(core::Machine{430}, journaledDynP(""));
-  EXPECT_THROW(again.resume(path, other), analysis::AuditError);
+  RmsSimulator again(core::Machine{430}, journaledDynP(path, true));
+  EXPECT_THROW(again.run(other), analysis::AuditError);
+  std::remove(path.c_str());
+}
+
+TEST(SimulatorJournal, HeaderOnlyJournalResumesAsAFreshRun) {
+  const auto jobs = core::fromSwf(trace::ctcModel().generate(100, 46));
+  RmsSimulator ref(core::Machine{430}, journaledDynP(""));
+  const auto reference = ref.run(jobs);
+
+  // A process killed between create()'s header fsync and the meta record
+  // leaves a bare header behind; resuming it must start the run afresh.
+  const std::string path = simJournalPath("sim-bare.jrnl");
+  util::JournalWriter::create(path);
+  RmsSimulator again(core::Machine{430}, journaledDynP(path, true));
+  const auto resumed = again.run(jobs);
+  EXPECT_FALSE(resumed.resumed);
+  EXPECT_FALSE(resumed.tailDropped);
+  EXPECT_EQ(deterministicDigest(resumed), deterministicDigest(reference));
   std::remove(path.c_str());
 }
 

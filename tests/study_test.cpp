@@ -167,6 +167,13 @@ StudyOptions deterministicOptions() {
   return options;
 }
 
+/// `options` set to resume (or start) the journal at `path`.
+StudyOptions resuming(StudyOptions options, const std::string& path) {
+  options.journal.path = path;
+  options.journal.resume = true;
+  return options;
+}
+
 TEST(StudyJournal, RowPayloadRoundTripsEveryField) {
   StudyRow row;
   row.submissionTime = 12345;
@@ -236,8 +243,9 @@ TEST(StudyJournal, JournaledRunMatchesPlainAndResumeReplaysAll) {
 
   // Resuming a completed journal re-solves nothing.
   StudyResumeInfo resumeInfo;
-  const auto resumed = resumeStudy(journaled.journal.path, snapshots,
-                                   plainOptions, 1, &resumeInfo);
+  const auto resumed =
+      runStudy(snapshots, resuming(plainOptions, journaled.journal.path), 1,
+               &resumeInfo);
   EXPECT_EQ(studyReportText(resumed), refText);
   EXPECT_EQ(resumeInfo.replayedRows, snapshots.size());
   EXPECT_EQ(resumeInfo.solvedRows, 0u);
@@ -261,8 +269,9 @@ TEST(StudyJournal, ParallelJournaledMatchesSerial) {
   // Rows land in the journal in completion order, each tagged with its
   // index — a resume must reassemble input order regardless.
   StudyResumeInfo info;
-  const auto resumed = resumeStudy(parallelOpt.journal.path, snapshots,
-                                   deterministicOptions(), 1, &info);
+  const auto resumed = runStudy(
+      snapshots, resuming(deterministicOptions(), parallelOpt.journal.path), 1,
+      &info);
   EXPECT_EQ(studyReportText(resumed), studyReportText(serial));
   EXPECT_EQ(info.replayedRows, snapshots.size());
   std::remove(serialOpt.journal.path.c_str());
@@ -289,8 +298,9 @@ TEST(StudyJournalDeathTest, KillAtStepExitsAfterPersistingTheRow) {
   // The journal the dead child left behind holds rows 0..1; resume re-solves
   // only the rest and reproduces the uninterrupted reference bit for bit.
   StudyResumeInfo info;
-  const auto resumed = resumeStudy(options.journal.path, snapshots,
-                                   deterministicOptions(), 1, &info);
+  const auto resumed = runStudy(
+      snapshots, resuming(deterministicOptions(), options.journal.path), 1,
+      &info);
   EXPECT_EQ(studyReportText(resumed), refText);
   EXPECT_EQ(info.replayedRows, 2u);
   EXPECT_EQ(info.solvedRows, snapshots.size() - 2);
@@ -323,8 +333,9 @@ TEST(StudyJournal, TornTailIsReSolvedOnResume) {
   }
 
   StudyResumeInfo info;
-  const auto resumed = resumeStudy(options.journal.path, snapshots,
-                                   deterministicOptions(), 1, &info);
+  const auto resumed = runStudy(
+      snapshots, resuming(deterministicOptions(), options.journal.path), 1,
+      &info);
   EXPECT_TRUE(info.tailDropped);
   EXPECT_FALSE(info.tailWarning.empty());
   EXPECT_EQ(studyReportText(resumed), refText);
@@ -343,7 +354,7 @@ TEST(StudyJournal, FingerprintMismatchFailsStructurally) {
   StudyOptions different = fastOptions();
   different.forcedTimeScale = 120;  // changes row values → new fingerprint
   EXPECT_THROW(
-      resumeStudy(options.journal.path, snapshots, different, 1),
+      runStudy(snapshots, resuming(different, options.journal.path), 1),
       analysis::AuditError);
   std::remove(options.journal.path.c_str());
 }
@@ -368,9 +379,35 @@ TEST(StudyJournal, FutureRecordVersionFailsStructurally) {
     w.write(kStudyRowRecord, 99, p);
   }
   EXPECT_THROW(
-      resumeStudy(options.journal.path, snapshots, fastOptions(), 1),
+      runStudy(snapshots, resuming(fastOptions(), options.journal.path), 1),
       analysis::AuditError);
   std::remove(options.journal.path.c_str());
+}
+
+TEST(StudyJournal, HeaderOnlyJournalResumesAsAFreshStudy) {
+  const auto snapshots = captureSnapshots(250, 2, 89);
+  ASSERT_FALSE(snapshots.empty());
+  const std::string refText =
+      studyReportText(runStudy(snapshots, deterministicOptions(), 1));
+
+  // A process killed between create()'s header fsync and the meta record
+  // leaves a bare header behind; resuming it must start the study afresh.
+  const std::string path = journalPath("study-bare.jrnl");
+  util::JournalWriter::create(path);
+  StudyResumeInfo info;
+  const auto resumed =
+      runStudy(snapshots, resuming(deterministicOptions(), path), 1, &info);
+  EXPECT_EQ(studyReportText(resumed), refText);
+  EXPECT_EQ(info.replayedRows, 0u);
+  EXPECT_EQ(info.solvedRows, snapshots.size());
+  EXPECT_FALSE(info.tailDropped);
+
+  // The restarted journal is a whole one: the next resume replays it all.
+  StudyResumeInfo again;
+  runStudy(snapshots, resuming(deterministicOptions(), path), 1, &again);
+  EXPECT_EQ(again.replayedRows, snapshots.size());
+  EXPECT_EQ(again.solvedRows, 0u);
+  std::remove(path.c_str());
 }
 
 }  // namespace

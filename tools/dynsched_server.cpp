@@ -30,8 +30,6 @@ int main(int argc, char** argv) {
       "journal", "", "answer journal path (empty = in-memory cache only)");
   auto& resume = flags.addBool(
       "resume", false, "replay answers from --journal before serving");
-  auto& fsync = flags.addBool(
-      "fsync", false, "fsync the journal after every answer");
   auto& maxConcurrent =
       flags.addInt("max-concurrent", 2, "solves allowed to run concurrently");
   auto& maxQueue = flags.addInt(
@@ -77,7 +75,6 @@ int main(int argc, char** argv) {
     options.service.defaultMaxNodes = static_cast<long>(defaultMaxNodes);
     options.service.journal.path = journal;
     options.service.journal.resume = resume;
-    options.service.journal.fsyncEachRecord = fsync;
 
     serve::Server server(std::move(options));
     std::fprintf(stderr, "dynsched-server: listening on %s (recovered %llu answers)\n",
