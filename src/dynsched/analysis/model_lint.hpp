@@ -176,12 +176,3 @@ ModelLintStats modelLintStats();
 void resetModelLintStats();
 
 }  // namespace dynsched::analysis
-
-// Producers use the macro so audit-free builds carry no lint pass at all.
-#if defined(DYNSCHED_AUDIT_ENABLED) && DYNSCHED_AUDIT_ENABLED
-#define DYNSCHED_LINT_MODEL(site, ...) \
-  ::dynsched::analysis::enforceLint(    \
-      (site), ::dynsched::analysis::lintModel(__VA_ARGS__))
-#else
-#define DYNSCHED_LINT_MODEL(site, ...) ((void)0)
-#endif

@@ -30,10 +30,15 @@ constexpr double kOptimalityTol = 1e-7;   ///< reduced-cost tolerance
 constexpr double kPivotTol = 1e-8;        ///< smallest acceptable |pivot|
 constexpr int kRefactorInterval = 120;    ///< pivots between refactorizations
 constexpr int kBlandThreshold = 60;  ///< degenerate pivots before Bland's rule
+/// Dual re-solve stall guard (its anti-cycling rule): after this many
+/// consecutive dual pivots that each raise the objective by at most
+/// kStallRelTol of its magnitude, the start basis is given up and the model
+/// solved cold.
+constexpr int kDualStallLimit = 100;
+constexpr double kStallRelTol = 1e-9;
 
-enum class VarStatus : std::uint8_t { Basic, AtLower, AtUpper, Free };
-
-/// Bounded-variable primal simplex with a classical two-phase start.
+/// Bounded-variable simplex: a primal two-phase solve from a crash basis,
+/// or a dual re-solve from a given basis.
 ///
 /// Variable layout: [0, n) structural, [n, n+m) row slacks with the
 /// convention A x − s = 0 (slack column −e_r, bounds = row bounds),
@@ -41,7 +46,8 @@ enum class VarStatus : std::uint8_t { Basic, AtLower, AtUpper, Free };
 /// so their initial basic value is non-negative; phase 1 minimizes their sum
 /// with every basis primal feasible, so a single standard ratio test serves
 /// both phases (no piecewise-linear composite machinery, which can stall at
-/// coordinate-stationary points).
+/// coordinate-stationary points). The dual re-solve keeps every artificial
+/// nonbasic at zero.
 class Simplex {
  public:
   Simplex(const LpModel& model, util::CancelToken* cancel)
@@ -52,7 +58,7 @@ class Simplex {
         total_(n_ + 2 * model.numRows()),
         basis_(std::max(1, model.numRows())) {}
 
-  LpSolution solve();
+  LpSolution solve(const LpBasis* start);
 
  private:
   bool isSlack(int var) const { return var >= n_ && var < n_ + m_; }
@@ -105,6 +111,13 @@ class Simplex {
            artificialSign_[static_cast<std::size_t>(r)];
   }
 
+  /// Nonbasic and not fixed: the dual ratio test may pick it. (Fixed
+  /// variables never enter; their reduced cost may take either sign.)
+  bool canEnter(int var) const {
+    return status_[static_cast<std::size_t>(var)] != VarStatus::Basic &&
+           lower(var) != upper(var);
+  }
+
   double nonbasicValue(int var) const {
     switch (status_[static_cast<std::size_t>(var)]) {
       case VarStatus::AtLower: return lower(var);
@@ -119,6 +132,22 @@ class Simplex {
   void computeBasicValues();
   double phaseObjective(bool phase1) const;
 
+  /// Two-phase primal simplex from a crash basis.
+  void solveCold(LpSolution& result);
+  /// Makes `start` the current basis (see solveLp). False when it does not
+  /// fit the model or is singular.
+  bool installBasis(const LpBasis& start);
+  /// y = B^{-T} c_B and the reduced cost of every nonbasic non-artificial
+  /// variable into reducedCost_. False when one has the wrong sign for the
+  /// bound its variable sits at, beyond kOptimalityTol.
+  bool priceDualFeasible();
+  /// Dual simplex from the installed basis. True when `result.status` is
+  /// final; false when the start cannot be used and the caller must solve
+  /// cold.
+  bool dualResolve(LpSolution& result);
+  /// Fills an Optimal result from the current basis.
+  void extractOptimal(LpSolution& result);
+
   const LpModel& model_;
   util::CancelToken* cancel_;
   int n_, m_, total_;
@@ -130,6 +159,12 @@ class Simplex {
   std::vector<double> rhsScratch_;  ///< computeBasicValues work buffer
   std::vector<double> artificialSign_;  ///< per row: +1 / −1
   std::vector<double> artificialLb_, artificialUb_;
+  // Per-pivot work buffers, sized once per solve.
+  std::vector<double> y_;            ///< pricing vector B^{-T} c_B
+  std::vector<double> alpha_;        ///< entering column B^{-1} a_q
+  std::vector<double> rho_;          ///< dual: leaving row of B^{-1}
+  std::vector<double> pivotRow_;     ///< dual: rho·a_j per variable
+  std::vector<double> reducedCost_;  ///< dual: d_j per variable
   long refactorCount_ = 0;
 };
 
@@ -183,7 +218,7 @@ double Simplex::phaseObjective(bool phase1) const {
   return total;
 }
 
-LpSolution Simplex::solve() {
+LpSolution Simplex::solve(const LpBasis* start) {
   LpSolution result;
   if (cancel_ != nullptr && cancel_->injectLpFailure()) {
     // Deterministic fault injection: this solve "fails numerically".
@@ -215,6 +250,282 @@ LpSolution Simplex::solve() {
     return result;
   }
 
+  const std::size_t m = static_cast<std::size_t>(m_);
+  y_.assign(m, 0.0);
+  alpha_.assign(m, 0.0);
+  if (start != nullptr) {
+    if (installBasis(*start) && dualResolve(result)) return result;
+    result.coldFallback = true;
+  }
+  solveCold(result);
+  return result;
+}
+
+bool Simplex::installBasis(const LpBasis& start) {
+  const std::size_t rowsThen = start.basic.size();
+  if (start.columns() != n_ || rowsThen > static_cast<std::size_t>(m_)) {
+    return false;
+  }
+  const std::size_t m = static_cast<std::size_t>(m_);
+  // Artificials stay nonbasic and fixed at zero.
+  artificialSign_.assign(m, 1.0);
+  artificialLb_.assign(m, 0.0);
+  artificialUb_.assign(m, 0.0);
+  status_.assign(static_cast<std::size_t>(total_), VarStatus::AtLower);
+  std::copy(start.status.begin(), start.status.end(), status_.begin());
+  basisVars_.resize(m);
+  for (std::size_t r = 0; r < m; ++r) {
+    if (r < rowsThen) {
+      const int var = start.basic[r];
+      if (var < 0 || var >= n_ + static_cast<int>(rowsThen) ||
+          status_[static_cast<std::size_t>(var)] != VarStatus::Basic) {
+        return false;
+      }
+      basisVars_[r] = var;
+    } else {
+      // A row appended since the basis was taken: its slack is basic.
+      const int slackVar = n_ + static_cast<int>(r);
+      basisVars_[r] = slackVar;
+      status_[static_cast<std::size_t>(slackVar)] = VarStatus::Basic;
+    }
+  }
+  int basics = 0;
+  for (int var = 0; var < n_ + m_; ++var) {
+    VarStatus& st = status_[static_cast<std::size_t>(var)];
+    if (st == VarStatus::Basic) {
+      ++basics;
+      continue;
+    }
+    // Bounds may have moved since: a nonbasic whose recorded bound is now
+    // infinite sits at its finite one, or is free.
+    const double l = lower(var), u = upper(var);
+    const bool fits = (st == VarStatus::AtLower && l > -kInf) ||
+                      (st == VarStatus::AtUpper && u < kInf) ||
+                      (st == VarStatus::Free && l <= -kInf && u >= kInf);
+    if (!fits) {
+      st = l > -kInf   ? VarStatus::AtLower
+           : u < kInf ? VarStatus::AtUpper
+                      : VarStatus::Free;
+    }
+  }
+  if (basics != m_ || !refactorize()) return false;
+  computeBasicValues();
+  return true;
+}
+
+bool Simplex::priceDualFeasible() {
+  for (int i = 0; i < m_; ++i) {
+    y_[static_cast<std::size_t>(i)] =
+        cost(basisVars_[static_cast<std::size_t>(i)], /*phase1=*/false);
+  }
+  basis_.btran(y_);
+  for (int var = 0; var < n_ + m_; ++var) {
+    const VarStatus st = status_[static_cast<std::size_t>(var)];
+    double& d = reducedCost_[static_cast<std::size_t>(var)];
+    if (st == VarStatus::Basic) {
+      d = 0.0;
+      continue;
+    }
+    d = cost(var, false) - dotColumn(var, y_);
+    if (lower(var) == upper(var)) continue;  // fixed: either sign is fine
+    if ((st != VarStatus::AtUpper && d < -kOptimalityTol) ||
+        (st != VarStatus::AtLower && d > kOptimalityTol)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+bool Simplex::dualResolve(LpSolution& result) {
+  const std::size_t m = static_cast<std::size_t>(m_);
+  const std::size_t structAndSlack = static_cast<std::size_t>(n_ + m_);
+  rho_.assign(m, 0.0);
+  pivotRow_.assign(structAndSlack, 0.0);
+  reducedCost_.assign(structAndSlack, 0.0);
+  if (!priceDualFeasible()) return false;
+  // The dual objective (= c·x of the current basic solution) only rises,
+  // by t·(violation) per pivot; see kDualStallLimit.
+  double dualObjective = phaseObjective(false);
+  int stallRun = 0;
+
+  for (long iter = result.iterations;; ++iter) {
+    if (iter >= kMaxIterations) {
+      result.status = LpStatus::IterationLimit;
+      return true;
+    }
+    result.iterations = iter;
+    if (stallRun > kDualStallLimit) return false;
+    if (cancel_ != nullptr && cancel_->onLpIteration()) {
+      result.status = LpStatus::Cancelled;
+      return true;
+    }
+    if (basis_.updatesSinceFactorize() >= kRefactorInterval) {
+      if (!refactorize()) return false;
+      computeBasicValues();
+      if (!priceDualFeasible()) return false;
+    }
+
+    // Leaving row: the basic variable with the largest bound violation. It
+    // leaves at the bound it violates.
+    int leavingPos = -1;
+    double worst = kFeasibilityTol;
+    double target = 0;
+    bool toLower = true;
+    for (std::size_t i = 0; i < m; ++i) {
+      const int var = basisVars_[i];
+      const double v = xBasic_[i];
+      const double below = lower(var) - v, above = v - upper(var);
+      if (below > worst) {
+        worst = below;
+        leavingPos = static_cast<int>(i);
+        target = lower(var);
+        toLower = true;
+      } else if (above > worst) {
+        worst = above;
+        leavingPos = static_cast<int>(i);
+        target = upper(var);
+        toLower = false;
+      }
+    }
+    if (leavingPos < 0) {
+      extractOptimal(result);
+      return true;
+    }
+    const std::size_t r = static_cast<std::size_t>(leavingPos);
+
+    // Pivot row: rho = B^{-T} e_r, entry rho·a_j for every nonbasic column.
+    // Once the leaving variable is nonbasic its reduced cost is −θ, so the
+    // dual step θ is ≤ 0 when it leaves at its lower bound and ≥ 0 at its
+    // upper; sigma folds both cases into one ratio test.
+    std::fill(rho_.begin(), rho_.end(), 0.0);
+    rho_[r] = 1.0;
+    basis_.btran(rho_);
+    const double sigma = toLower ? 1.0 : -1.0;
+    // Harris two-pass ratio test. A nonbasic blocks when the step drives
+    // its reduced cost toward the wrong sign: `slack` is how far it is from
+    // that sign, `rate` how fast the step closes the distance. Pass 1 finds
+    // the largest step no blocker overshoots by more than kOptimalityTol;
+    // pass 2 takes the largest |pivot| among the blockers within it.
+    const auto blocker = [&](int var, double& slack, double& rate) {
+      const double a = pivotRow_[static_cast<std::size_t>(var)];
+      const double d = reducedCost_[static_cast<std::size_t>(var)];
+      const VarStatus st = status_[static_cast<std::size_t>(var)];
+      if (st == VarStatus::AtLower ||
+          (st == VarStatus::Free && sigma * a < 0)) {
+        rate = -sigma * a;
+        slack = d;
+      } else {
+        rate = sigma * a;
+        slack = -d;
+      }
+      return rate > kPivotTol;
+    };
+    double stepBound = kInf;
+    for (int var = 0; var < n_ + m_; ++var) {
+      if (!canEnter(var)) continue;
+      pivotRow_[static_cast<std::size_t>(var)] = dotColumn(var, rho_);
+      double slack, rate;
+      if (!blocker(var, slack, rate)) continue;
+      stepBound = std::min(stepBound, (slack + kOptimalityTol) / rate);
+    }
+    int entering = -1;
+    double enterSlack = 0, enterRate = 0;
+    for (int var = 0; var < n_ + m_; ++var) {
+      double slack, rate;
+      if (!canEnter(var) || !blocker(var, slack, rate) ||
+          slack / rate > stepBound) {
+        continue;
+      }
+      if (entering < 0 || rate > enterRate) {
+        entering = var;
+        enterSlack = slack;
+        enterRate = rate;
+      }
+    }
+    if (entering < 0) {
+      // No column can restore row r: the dual is unbounded along rho, so
+      // the primal is infeasible.
+      result.status = LpStatus::Infeasible;
+      return true;
+    }
+
+    std::fill(alpha_.begin(), alpha_.end(), 0.0);
+    writeColumn(entering, alpha_);
+    basis_.ftran(alpha_);
+    if (std::fabs(alpha_[r]) < kPivotTol) return false;
+
+    // Primal step: the entering variable moves until the leaving one sits
+    // at its target bound.
+    const double delta = (xBasic_[r] - target) / alpha_[r];
+    for (std::size_t i = 0; i < m; ++i) {
+      const double a = alpha_[i];
+      if (a != 0.0) xBasic_[i] -= a * delta;
+    }
+    xBasic_[r] = nonbasicValue(entering) + delta;
+
+    // Dual step θ = −sigma·t, with t clamped at 0 where Harris picked a
+    // reduced cost already inside the tolerance on the wrong side.
+    const double t = std::max(0.0, enterSlack / enterRate);
+    const double theta = -sigma * t;
+    for (int var = 0; var < n_ + m_; ++var) {
+      if (!canEnter(var)) continue;
+      reducedCost_[static_cast<std::size_t>(var)] -=
+          theta * pivotRow_[static_cast<std::size_t>(var)];
+    }
+    const int leavingVar = basisVars_[r];
+    reducedCost_[static_cast<std::size_t>(entering)] = 0.0;
+    reducedCost_[static_cast<std::size_t>(leavingVar)] = -theta;
+    basisVars_[r] = entering;
+    status_[static_cast<std::size_t>(entering)] = VarStatus::Basic;
+    status_[static_cast<std::size_t>(leavingVar)] =
+        toLower ? VarStatus::AtLower : VarStatus::AtUpper;
+    basis_.update(alpha_, leavingPos);
+
+    const double gain = t * worst;
+    dualObjective += gain;
+    stallRun = gain <= kStallRelTol * std::max(1.0, std::fabs(dualObjective))
+                   ? stallRun + 1
+                   : 0;
+  }
+}
+
+void Simplex::extractOptimal(LpSolution& result) {
+  std::vector<double> x(static_cast<std::size_t>(total_), 0.0);
+  for (int var = 0; var < total_; ++var) {
+    if (status_[static_cast<std::size_t>(var)] != VarStatus::Basic) {
+      x[static_cast<std::size_t>(var)] = nonbasicValue(var);
+    }
+  }
+  for (int i = 0; i < m_; ++i) {
+    x[static_cast<std::size_t>(basisVars_[static_cast<std::size_t>(i)])] =
+        xBasic_[static_cast<std::size_t>(i)];
+  }
+  result.x.assign(x.begin(), x.begin() + n_);
+  // Slack values equal the row activities (A x − s = 0), but recompute
+  // activities from x so tiny basic drift cannot desynchronize them.
+  result.rowActivity = model_.rowActivity(result.x);
+  result.objective = model_.objectiveValue(result.x);
+
+  for (int i = 0; i < m_; ++i) {
+    y_[static_cast<std::size_t>(i)] =
+        cost(basisVars_[static_cast<std::size_t>(i)], /*phase1=*/false);
+  }
+  basis_.btran(y_);
+  result.duals = y_;
+  result.refactorizations = refactorCount_;
+  result.status = LpStatus::Optimal;
+
+  // A basis with an artificial still basic (at zero) is not handed on.
+  const bool artificialBasic =
+      std::any_of(basisVars_.begin(), basisVars_.end(),
+                  [this](int var) { return isArtificial(var); });
+  if (!artificialBasic) {
+    result.basis.basic = basisVars_;
+    result.basis.status.assign(status_.begin(), status_.begin() + n_ + m_);
+  }
+}
+
+void Simplex::solveCold(LpSolution& result) {
   // --- Crash basis ------------------------------------------------------
   // Structural variables start at a finite bound (or free at 0). For each
   // row, if the resulting activity fits the row bounds, the slack itself is
@@ -272,27 +583,27 @@ LpSolution Simplex::solve() {
   }
   if (!refactorize()) {
     result.status = LpStatus::NumericalFailure;
-    return result;
+    return;
   }
   computeBasicValues();
 
-  std::vector<double> y(static_cast<std::size_t>(m_));
-  std::vector<double> alpha(static_cast<std::size_t>(m_));
+  std::vector<double>& y = y_;
+  std::vector<double>& alpha = alpha_;
   int degenerateRun = 0;
   bool bland = false;
   bool phase1 = needPhase1;
   bool hitIterationLimit = true;
 
-  for (long iter = 0; iter < kMaxIterations; ++iter) {
+  for (long iter = result.iterations; iter < kMaxIterations; ++iter) {
     result.iterations = iter;
     if (cancel_ != nullptr && cancel_->onLpIteration()) {
       result.status = LpStatus::Cancelled;
-      return result;
+      return;
     }
     if (basis_.updatesSinceFactorize() >= kRefactorInterval) {
       if (!refactorize()) {
         result.status = LpStatus::NumericalFailure;
-        return result;
+        return;
       }
       computeBasicValues();
     }
@@ -351,7 +662,7 @@ LpSolution Simplex::solve() {
         result.status = phaseObjective(true) > kFeasibilityTol
                             ? LpStatus::Infeasible
                             : LpStatus::Optimal;
-        if (result.status == LpStatus::Infeasible) return result;
+        if (result.status == LpStatus::Infeasible) return;
         // Degenerate corner: feasible but phase flag not yet flipped.
         phase1 = false;
         for (int r = 0; r < m_; ++r)
@@ -428,7 +739,7 @@ LpSolution Simplex::solve() {
       // objective (Σ artificials ≥ 0) is bounded, so a ray means numerics.
       result.status =
           phase1 ? LpStatus::NumericalFailure : LpStatus::Unbounded;
-      return result;
+      return;
     }
 
     const double t = tMax;
@@ -459,48 +770,24 @@ LpSolution Simplex::solve() {
 
   if (hitIterationLimit) {
     result.status = LpStatus::IterationLimit;
-    return result;
+    return;
   }
 
   // Optimal: refactorize once more for clean values and duals.
   if (!refactorize()) {
     result.status = LpStatus::NumericalFailure;
-    return result;
+    return;
   }
   computeBasicValues();
-
-  std::vector<double> x(static_cast<std::size_t>(total_), 0.0);
-  for (int var = 0; var < total_; ++var) {
-    if (status_[static_cast<std::size_t>(var)] != VarStatus::Basic) {
-      x[static_cast<std::size_t>(var)] = nonbasicValue(var);
-    }
-  }
-  for (int i = 0; i < m_; ++i) {
-    x[static_cast<std::size_t>(basisVars_[static_cast<std::size_t>(i)])] =
-        xBasic_[static_cast<std::size_t>(i)];
-  }
-  result.x.assign(x.begin(), x.begin() + n_);
-  // Slack values equal the row activities (A x − s = 0), but recompute
-  // activities from x so tiny basic drift cannot desynchronize them.
-  result.rowActivity = model_.rowActivity(result.x);
-  result.objective = model_.objectiveValue(result.x);
-
-  for (int i = 0; i < m_; ++i) {
-    y[static_cast<std::size_t>(i)] =
-        cost(basisVars_[static_cast<std::size_t>(i)], /*phase1=*/false);
-  }
-  basis_.btran(y);
-  result.duals = y;
-  result.refactorizations = refactorCount_;
-  result.status = LpStatus::Optimal;
-  return result;
+  extractOptimal(result);
 }
 
 }  // namespace
 
-LpSolution solveLp(const LpModel& model, util::CancelToken* cancel) {
+LpSolution solveLp(const LpModel& model, util::CancelToken* cancel,
+                   const LpBasis* start) {
   Simplex solver(model, cancel);
-  return solver.solve();
+  return solver.solve(start);
 }
 
 }  // namespace dynsched::lp

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <queue>
 #include <sstream>
 
@@ -59,11 +60,23 @@ struct BoundChange {
   double ub;
 };
 
+/// A node's start basis: its parent's optimal basis, shared by both
+/// children. Null makes the node LP solve cold.
+using SharedBasis = std::shared_ptr<const lp::LpBasis>;
+
 struct Node {
   long id = 0;
   double bound = -lp::kInf;            ///< parent LP objective (lower bound)
   std::vector<BoundChange> changes;    ///< path from root
+  SharedBasis basis;                   ///< parent's optimal basis
 };
+
+/// Hands a node's optimal basis on to its children; null when the LP left
+/// an artificial basic (lp::LpSolution::basis is then empty).
+SharedBasis shareBasis(lp::LpBasis&& basis) {
+  if (basis.basic.empty()) return nullptr;
+  return std::make_shared<const lp::LpBasis>(std::move(basis));
+}
 
 struct NodeWorse {
   bool operator()(const Node& a, const Node& b) const {
@@ -242,7 +255,7 @@ MipResult BranchAndBound::run() {
 
   std::priority_queue<Node, std::vector<Node>, NodeWorse> open;
   long nextId = 0;
-  open.push(Node{nextId++, -lp::kInf, {}});
+  open.push(Node{nextId++, -lp::kInf, {}, nullptr});  // the root solves cold
   bool anyLimitHit = false;
 
   while (!open.empty()) {
@@ -311,7 +324,8 @@ MipResult BranchAndBound::run() {
       result_.seconds = timer_.elapsedSeconds();
       return result_;
     }
-    const lp::LpSolution relax = lp::solveLp(work_, opts_.cancel);
+    lp::LpSolution relax =
+        lp::solveLp(work_, opts_.cancel, node.basis.get());
     result_.lpIterations += relax.iterations;
     if (relax.status == lp::LpStatus::Infeasible) continue;
     if (relax.status == lp::LpStatus::Cancelled) {
@@ -368,7 +382,9 @@ MipResult BranchAndBound::run() {
     if (node.changes.empty() && cutRoundsUsed_ < opts_.coverCutRounds) {
       ++cutRoundsUsed_;
       if (separateCoverCuts(relax.x) > 0) {
-        open.push(Node{nextId++, tightenBound(relax.objective), {}});
+        // The cut rows join the root's basis with their slacks basic.
+        open.push(Node{nextId++, tightenBound(relax.objective), {},
+                       shareBasis(std::move(relax.basis))});
         continue;
       }
     }
@@ -388,6 +404,7 @@ MipResult BranchAndBound::run() {
       tryIncumbent(relax.x, "tolerance-edge");
       continue;
     }
+    const SharedBasis parentBasis = shareBasis(std::move(relax.basis));
 
     const int group = colGroup_[static_cast<std::size_t>(branchVar)];
     if (group >= 0) {
@@ -418,6 +435,7 @@ MipResult BranchAndBound::run() {
         Node left;   // keep positions [0, split]
         left.id = nextId++;
         left.bound = nodeBound;
+        left.basis = parentBasis;
         const std::size_t tailFixings =
             cols.size() - static_cast<std::size_t>(split) - 1;
         left.changes.reserve(node.changes.size() + tailFixings);
@@ -430,6 +448,7 @@ MipResult BranchAndBound::run() {
         Node right;  // keep positions [split+1, end)
         right.id = nextId++;
         right.bound = nodeBound;
+        right.basis = parentBasis;
         right.changes.reserve(node.changes.size() +
                               static_cast<std::size_t>(split) + 1);
         right.changes.insert(right.changes.end(), node.changes.begin(),
@@ -451,6 +470,7 @@ MipResult BranchAndBound::run() {
     Node down;
     down.id = nextId++;
     down.bound = nodeBound;
+    down.basis = parentBasis;
     down.changes.reserve(node.changes.size() + 1);
     down.changes.insert(down.changes.end(), node.changes.begin(),
                         node.changes.end());
@@ -458,6 +478,7 @@ MipResult BranchAndBound::run() {
     Node up;
     up.id = nextId++;
     up.bound = nodeBound;
+    up.basis = parentBasis;
     up.changes.reserve(node.changes.size() + 1);
     up.changes.insert(up.changes.end(), node.changes.begin(),
                       node.changes.end());

@@ -7,6 +7,12 @@
 // branching, an optional problem-specific rounding heuristic, and an
 // optional warm-start incumbent (the paper's policy schedules are natural
 // incumbents for the time-indexed instances).
+//
+// Node relaxations reuse bases: the root LP solves cold, and every other
+// node re-solves its parent's optimal basis with the dual simplex (both
+// children share it). A child differs from its parent only in bound
+// fixings, so a few dual pivots replace a cold two-phase solve; the LP
+// layer solves cold whenever the inherited basis cannot be used.
 #pragma once
 
 #include <functional>

@@ -1,6 +1,7 @@
 // Direct DenseBasis tests: factorization, FTRAN/BTRAN, product-form
 // updates, singular detection — validated against hand matrices and a
-// random-matrix property (B · ftran(e_i) = e_i).
+// random-matrix property (B · ftran(e_i) = e_i), also for bases that mix
+// unit (slack) columns with dense ones, which factorize unit-first.
 #include <cmath>
 
 #include <gtest/gtest.h>
@@ -170,6 +171,91 @@ TEST_P(BasisRandomTest, FtranInvertsTheMatrix) {
     EXPECT_NEAR(backT[static_cast<std::size_t>(i)],
                 rhs[static_cast<std::size_t>(i)], 1e-8);
   }
+}
+
+/// A random column-major m×m basis whose columns are ±e_r (a slack or an
+/// artificial) or dense, in random order. Each column owns a distinct home
+/// row: a unit column is that row's unit vector, a dense one is diagonally
+/// dominant there, so the matrix is nonsingular.
+std::vector<double> mixedBasis(util::Rng& rng, int m) {
+  std::vector<int> home(static_cast<std::size_t>(m));
+  for (int k = 0; k < m; ++k) home[static_cast<std::size_t>(k)] = k;
+  for (int k = m - 1; k > 0; --k) {
+    std::swap(home[static_cast<std::size_t>(k)],
+              home[static_cast<std::size_t>(rng.uniformInt(0, k))]);
+  }
+  std::vector<double> cols(static_cast<std::size_t>(m * m), 0.0);
+  for (int k = 0; k < m; ++k) {
+    const int row = home[static_cast<std::size_t>(k)];
+    double* col = &cols[static_cast<std::size_t>(k * m)];
+    if (rng.bernoulli(0.6)) {
+      col[row] = rng.bernoulli(0.5) ? 1.0 : -1.0;
+      continue;
+    }
+    for (int i = 0; i < m; ++i) {
+      if (rng.bernoulli(0.4)) col[i] = rng.uniform(-1, 1);
+    }
+    col[row] = (rng.bernoulli(0.5) ? 1.0 : -1.0) * (2.0 + m);
+  }
+  return cols;
+}
+
+bool factorizeColumns(DenseBasis& basis, const std::vector<double>& cols) {
+  const int m = basis.size();
+  return basis.factorize([&](int k, std::vector<double>& col) {
+    for (int i = 0; i < m; ++i) {
+      col[static_cast<std::size_t>(i)] =
+          cols[static_cast<std::size_t>(k * m + i)];
+    }
+  });
+}
+
+TEST_P(BasisRandomTest, UnitColumnsAmongDenseOnesInvert) {
+  util::Rng rng(GetParam());
+  const int m = static_cast<int>(rng.uniformInt(2, 24));
+  const std::vector<double> cols = mixedBasis(rng, m);
+  DenseBasis basis(m);
+  ASSERT_TRUE(factorizeColumns(basis, cols));
+  // B · B^{-1} = I, one column of B^{-1} (= ftran(e_j)) at a time.
+  for (int j = 0; j < m; ++j) {
+    std::vector<double> inverseColumn(static_cast<std::size_t>(m), 0.0);
+    inverseColumn[static_cast<std::size_t>(j)] = 1.0;
+    basis.ftran(inverseColumn);
+    for (int i = 0; i < m; ++i) {
+      double product = 0;
+      for (int k = 0; k < m; ++k) {
+        product += cols[static_cast<std::size_t>(k * m + i)] *
+                   inverseColumn[static_cast<std::size_t>(k)];
+      }
+      EXPECT_NEAR(product, i == j ? 1.0 : 0.0, 1e-9)
+          << "seed " << GetParam() << " m " << m << " (" << i << ", " << j
+          << ")";
+    }
+  }
+}
+
+TEST_P(BasisRandomTest, SingularMixedBasisIsDetected) {
+  util::Rng rng(GetParam());
+  const int m = static_cast<int>(rng.uniformInt(3, 24));
+  std::vector<double> cols = mixedBasis(rng, m);
+  // Two unit columns on one row.
+  std::vector<double> twoOnOneRow = cols;
+  for (int i = 0; i < m; ++i) {
+    twoOnOneRow[static_cast<std::size_t>(i)] = i == 1 ? 1.0 : 0.0;
+    twoOnOneRow[static_cast<std::size_t>(m + i)] = i == 1 ? -1.0 : 0.0;
+  }
+  DenseBasis basis(m);
+  EXPECT_FALSE(factorizeColumns(basis, twoOnOneRow)) << "seed " << GetParam();
+  // A dense column that is a combination of two others.
+  std::vector<double> combination = cols;
+  for (int i = 0; i < m; ++i) {
+    combination[static_cast<std::size_t>(2 * m + i)] =
+        2.0 * cols[static_cast<std::size_t>(i)] -
+        0.5 * cols[static_cast<std::size_t>(m + i)];
+  }
+  EXPECT_FALSE(factorizeColumns(basis, combination)) << "seed " << GetParam();
+  // The same basis object still factorizes a good basis afterwards.
+  EXPECT_TRUE(factorizeColumns(basis, cols));
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomMatrices, BasisRandomTest,

@@ -1,13 +1,17 @@
-// Simplex solver tests: hand-checked instances, degenerate/edge cases, and
+// Simplex solver tests: hand-checked instances, degenerate/edge cases,
 // randomized property tests that certify optimality through the returned
 // duals (feasible point + dual feasibility + complementary slackness on
-// bounds is a full optimality certificate for an LP).
+// bounds is a full optimality certificate for an LP), and a differential
+// suite for the dual re-solve from a parent's basis against cold solves.
+#include <algorithm>
 #include <cmath>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "dynsched/lp/model.hpp"
 #include "dynsched/lp/simplex.hpp"
+#include "dynsched/tip/tim_model.hpp"
 #include "dynsched/util/budget.hpp"
 #include "dynsched/util/rng.hpp"
 #include "dynsched/util/signals.hpp"
@@ -175,6 +179,42 @@ TEST(Simplex, DegenerateVertexTerminates) {
 // and correct reduced-cost signs at the variable bounds.
 // ---------------------------------------------------------------------------
 
+/// The optimality certificate from the duals of an Optimal solution `s`.
+void expectOptimalityCertificate(const LpModel& m, const LpSolution& s,
+                                 const std::string& label) {
+  ASSERT_EQ(static_cast<int>(s.duals.size()), m.numRows());
+  const std::vector<double> activity = m.rowActivity(s.x);
+  for (int r = 0; r < m.numRows(); ++r) {
+    const double y = s.duals[static_cast<std::size_t>(r)];
+    const bool atLower =
+        activity[static_cast<std::size_t>(r)] <= m.rowLower(r) + 1e-5;
+    const bool atUpper =
+        activity[static_cast<std::size_t>(r)] >= m.rowUpper(r) - 1e-5;
+    // Minimization with A x = s convention: y > 0 requires the activity at
+    // its lower row bound, y < 0 at its upper (complementary slackness).
+    if (y > 1e-5) {
+      EXPECT_TRUE(atLower) << "row " << r << " " << label;
+    }
+    if (y < -1e-5) {
+      EXPECT_TRUE(atUpper) << "row " << r << " " << label;
+    }
+  }
+  for (int j = 0; j < m.numVariables(); ++j) {
+    double rc = m.objectiveCoef(j);
+    for (const ColumnEntry& e : m.column(j)) {
+      rc -= s.duals[static_cast<std::size_t>(e.row)] * e.value;
+    }
+    const double v = s.x[static_cast<std::size_t>(j)];
+    const bool atLower = v <= m.columnLower(j) + 1e-5;
+    const bool atUpper = v >= m.columnUpper(j) - 1e-5;
+    if (rc > 1e-5) {
+      EXPECT_TRUE(atLower) << "var " << j << " rc " << rc << " " << label;
+    } else if (rc < -1e-5) {
+      EXPECT_TRUE(atUpper) << "var " << j << " rc " << rc << " " << label;
+    }
+  }
+}
+
 struct RandomLpCase {
   std::uint64_t seed;
   int vars;
@@ -224,41 +264,7 @@ TEST_P(SimplexRandomTest, OptimalWithValidCertificate) {
   ASSERT_EQ(s.status, LpStatus::Optimal) << "seed " << param.seed;
   ASSERT_TRUE(m.isFeasible(s.x, 1e-5));
   EXPECT_LE(s.objective, m.objectiveValue(point) + 1e-6);
-
-  // Optimality certificate from the duals.
-  ASSERT_EQ(static_cast<int>(s.duals.size()), m.numRows());
-  const std::vector<double> activity = m.rowActivity(s.x);
-  for (int r = 0; r < m.numRows(); ++r) {
-    const double y = s.duals[static_cast<std::size_t>(r)];
-    const bool atLower =
-        activity[static_cast<std::size_t>(r)] <= m.rowLower(r) + 1e-5;
-    const bool atUpper =
-        activity[static_cast<std::size_t>(r)] >= m.rowUpper(r) - 1e-5;
-    // Minimization with A x = s convention: y > 0 requires the activity at
-    // its lower row bound, y < 0 at its upper (complementary slackness).
-    if (y > 1e-5) {
-      EXPECT_TRUE(atLower) << "row " << r << " seed " << param.seed;
-    }
-    if (y < -1e-5) {
-      EXPECT_TRUE(atUpper) << "row " << r << " seed " << param.seed;
-    }
-  }
-  for (int j = 0; j < m.numVariables(); ++j) {
-    double rc = m.objectiveCoef(j);
-    for (const ColumnEntry& e : m.column(j)) {
-      rc -= s.duals[static_cast<std::size_t>(e.row)] * e.value;
-    }
-    const double v = s.x[static_cast<std::size_t>(j)];
-    const bool atLower = v <= m.columnLower(j) + 1e-5;
-    const bool atUpper = v >= m.columnUpper(j) - 1e-5;
-    if (rc > 1e-5) {
-      EXPECT_TRUE(atLower) << "var " << j << " rc " << rc << " seed "
-                           << param.seed;
-    } else if (rc < -1e-5) {
-      EXPECT_TRUE(atUpper) << "var " << j << " rc " << rc << " seed "
-                           << param.seed;
-    }
-  }
+  expectOptimalityCertificate(m, s, "seed " + std::to_string(param.seed));
 }
 
 // Equality-heavy instances (assignment-like rows) anchored at a feasible
@@ -397,6 +403,264 @@ TEST(Simplex, InjectedNumericalFailureConsumesOneFault) {
   EXPECT_EQ(solveLp(m, &token).status, LpStatus::NumericalFailure);
   // The fault is consumed; the same token lets the next solve through.
   EXPECT_EQ(solveLp(m, &token).status, LpStatus::Optimal);
+}
+
+// ---------------------------------------------------------------------------
+// Basis reuse: a child LP as branch & bound makes it (bound fixings, appended
+// cut rows) solved from its parent's optimal basis by the dual simplex must
+// give the cold solve's answer.
+// ---------------------------------------------------------------------------
+
+/// A random LP with finite bounds, feasible by construction, whose columns
+/// fall into contiguous groups (the stand-in for SOS1 branch groups).
+LpModel randomBoundedLp(util::Rng& rng, std::vector<std::vector<int>>& groups) {
+  LpModel m;
+  const int vars = static_cast<int>(rng.uniformInt(4, 24));
+  std::vector<double> point;
+  for (int j = 0; j < vars; ++j) {
+    const double lb = rng.uniform(-5, 0);
+    const double ub = lb + rng.uniform(0.5, 8);
+    m.addVariable(lb, ub, rng.uniform(-3, 3));
+    point.push_back(rng.uniform(lb, ub));
+  }
+  const int rows = static_cast<int>(rng.uniformInt(1, 14));
+  for (int r = 0; r < rows; ++r) {
+    std::vector<std::pair<int, double>> entries;
+    double activity = 0;
+    for (int j = 0; j < vars; ++j) {
+      if (!rng.bernoulli(0.6)) continue;
+      const double coef = rng.uniform(-2, 2);
+      entries.emplace_back(j, coef);
+      activity += coef * point[static_cast<std::size_t>(j)];
+    }
+    if (entries.empty()) continue;
+    if (rng.bernoulli(0.5)) {
+      m.addRow(-kInf, activity + rng.uniform(0, 2), entries);
+    } else {
+      m.addRow(activity - rng.uniform(0, 1), activity + rng.uniform(0, 1),
+               entries);
+    }
+  }
+  for (int first = 0; first < vars;) {
+    const int size = static_cast<int>(rng.uniformInt(2, 6));
+    groups.emplace_back();
+    for (int j = first; j < std::min(vars, first + size); ++j) {
+      groups.back().push_back(j);
+    }
+    first += size;
+  }
+  return m;
+}
+
+/// A small time-indexed model (paper Eq. 1-5) of 2-4 jobs at scale 1; its
+/// per-job start columns are the branch groups.
+LpModel smallTimeIndexedLp(util::Rng& rng,
+                           std::vector<std::vector<int>>& groups) {
+  tip::TipInstance inst;
+  const NodeCount machine = static_cast<NodeCount>(rng.uniformInt(4, 12));
+  inst.history = core::MachineHistory::empty(core::Machine{machine}, 0);
+  Time total = 0;
+  const int jobs = static_cast<int>(rng.uniformInt(2, 4));
+  for (int i = 0; i < jobs; ++i) {
+    core::Job job;
+    job.id = i + 1;
+    job.width = static_cast<NodeCount>(rng.uniformInt(1, machine));
+    job.estimate = rng.uniformInt(1, 12);
+    job.actualRuntime = job.estimate;
+    total += job.estimate;
+    inst.jobs.push_back(job);
+  }
+  inst.horizon = total;
+  inst.timeScale = 1;
+  tip::TipModel model = tip::buildModel(inst, tip::makeGrid(inst));
+  groups = model.jobColumns;
+  return model.mip.lp;
+}
+
+/// Branches `model` once: a block at one end of a random group is fixed at
+/// its lower bound (the SOS1 dichotomy of mip::solveMip), and half the time
+/// a `<=` row the parent optimum `x` violates is appended, as a cut.
+void branch(LpModel& model, const std::vector<std::vector<int>>& groups,
+            const std::vector<double>& x, util::Rng& rng) {
+  const auto& group = groups[static_cast<std::size_t>(
+      rng.uniformInt(0, static_cast<long>(groups.size()) - 1))];
+  const std::size_t split = static_cast<std::size_t>(
+      rng.uniformInt(1, static_cast<long>(group.size())));
+  const bool head = rng.bernoulli(0.5);
+  for (std::size_t k = 0; k < group.size(); ++k) {
+    if ((k < split) != head) continue;
+    const int col = group[k];
+    model.setColumnBounds(col, model.columnLower(col), model.columnLower(col));
+  }
+  if (!rng.bernoulli(0.5)) return;
+  std::vector<std::pair<int, double>> entries;
+  double activity = 0;
+  for (int j = 0; j < model.numVariables(); ++j) {
+    if (!rng.bernoulli(0.5)) continue;
+    const double coef = rng.uniform(0.1, 2);
+    entries.emplace_back(j, coef);
+    activity += coef * x[static_cast<std::size_t>(j)];
+  }
+  if (entries.empty()) return;
+  model.addRow(-kInf, activity - rng.uniform(0.05, 1), entries);
+}
+
+/// Solves `model` cold and from `start`; both must agree. Returns the
+/// re-solve, whose basis seeds the next level.
+LpSolution expectSameAsCold(const LpModel& model, const LpBasis& start,
+                            const std::string& label) {
+  const LpSolution cold = solveLp(model);
+  LpSolution warm = solveLp(model, nullptr, &start);
+  EXPECT_FALSE(warm.coldFallback) << label;
+  EXPECT_EQ(warm.status, cold.status) << label;
+  if (!cold.optimal() || !warm.optimal()) return warm;
+  EXPECT_NEAR(warm.objective, cold.objective,
+              1e-9 * std::max(1.0, std::fabs(cold.objective)))
+      << label;
+  EXPECT_TRUE(model.isFeasible(warm.x, 1e-7)) << label;
+  expectOptimalityCertificate(model, warm, label);
+  return warm;
+}
+
+/// Three levels of branching below a cold root; every level re-solves from
+/// its parent's basis.
+void checkBranchChain(const LpModel& root,
+                      const std::vector<std::vector<int>>& groups,
+                      util::Rng& rng, const std::string& label) {
+  LpSolution parent = solveLp(root);
+  ASSERT_TRUE(parent.optimal()) << label;
+  LpModel model = root;
+  for (int depth = 1; depth <= 3; ++depth) {
+    if (parent.basis.basic.empty()) return;  // an artificial stayed basic
+    branch(model, groups, parent.x, rng);
+    parent = expectSameAsCold(model, parent.basis,
+                              label + " depth " + std::to_string(depth));
+    if (!parent.optimal()) return;
+  }
+}
+
+class DualResolveRandomTest : public ::testing::TestWithParam<std::uint64_t> {
+};
+
+TEST_P(DualResolveRandomTest, RandomLpChildrenMatchColdSolves) {
+  util::Rng rng(GetParam());
+  std::vector<std::vector<int>> groups;
+  const LpModel root = randomBoundedLp(rng, groups);
+  for (int child = 0; child < 4; ++child) {
+    checkBranchChain(root, groups, rng,
+                     "seed " + std::to_string(GetParam()) + " child " +
+                         std::to_string(child));
+  }
+}
+
+TEST_P(DualResolveRandomTest, TimeIndexedChildrenMatchColdSolves) {
+  util::Rng rng(GetParam());
+  std::vector<std::vector<int>> groups;
+  const LpModel root = smallTimeIndexedLp(rng, groups);
+  for (int child = 0; child < 4; ++child) {
+    checkBranchChain(root, groups, rng,
+                     "seed " + std::to_string(GetParam()) + " child " +
+                         std::to_string(child));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(RandomInstances, DualResolveRandomTest,
+                         ::testing::Range<std::uint64_t>(7000, 7060));
+
+/// max 3a + 5b s.t. a <= 4, 2b <= 12, 3a + 2b <= 18 (as a minimization).
+LpModel textbookLp() {
+  LpModel m;
+  const int a = m.addVariable(0, 10, -3.0);
+  const int b = m.addVariable(0, 10, -5.0);
+  m.addRow(-kInf, 4.0, {{a, 1.0}});
+  m.addRow(-kInf, 12.0, {{b, 2.0}});
+  m.addRow(-kInf, 18.0, {{a, 3.0}, {b, 2.0}});
+  return m;
+}
+
+void expectColdAnswer(const LpModel& m, const LpBasis& start) {
+  const LpSolution cold = solveLp(m);
+  const LpSolution s = solveLp(m, nullptr, &start);
+  EXPECT_TRUE(s.coldFallback);
+  ASSERT_EQ(s.status, cold.status);
+  EXPECT_DOUBLE_EQ(s.objective, cold.objective);
+  EXPECT_EQ(s.x, cold.x);
+}
+
+TEST(DualResolve, OptimalStartNeedsNoPivot) {
+  const LpModel m = textbookLp();
+  const LpSolution cold = solveLp(m);
+  ASSERT_TRUE(cold.optimal());
+  ASSERT_EQ(cold.basis.basic.size(), 3u);
+  ASSERT_EQ(cold.basis.columns(), 2);
+  const LpSolution again = solveLp(m, nullptr, &cold.basis);
+  EXPECT_FALSE(again.coldFallback);
+  EXPECT_EQ(again.iterations, 0);
+  EXPECT_NEAR(again.objective, -36.0, kTol);
+}
+
+TEST(DualResolve, WrongSizeStartSolvesCold) {
+  const LpModel m = textbookLp();
+  LpBasis start = solveLp(m).basis;
+  LpBasis moreColumns = start;
+  moreColumns.status.insert(moreColumns.status.begin(), VarStatus::AtLower);
+  expectColdAnswer(m, moreColumns);
+  LpBasis moreRows = start;
+  moreRows.basic.push_back(5);
+  moreRows.status.push_back(VarStatus::Basic);
+  expectColdAnswer(m, moreRows);
+}
+
+TEST(DualResolve, SingularStartSolvesCold) {
+  // Columns a and c are parallel, so a basis holding both is singular.
+  LpModel m;
+  const int a = m.addVariable(0, 10, -1.0);
+  const int b = m.addVariable(0, 10, -1.0);
+  const int c = m.addVariable(0, 10, 1.0);
+  m.addRow(-kInf, 8.0, {{a, 1.0}, {b, 1.0}, {c, 2.0}});
+  m.addRow(-kInf, 9.0, {{a, 2.0}, {b, 1.0}, {c, 4.0}});
+  LpBasis start;
+  start.basic = {a, c};
+  start.status = {VarStatus::Basic, VarStatus::AtLower, VarStatus::Basic,
+                  VarStatus::AtUpper, VarStatus::AtUpper};
+  expectColdAnswer(m, start);
+}
+
+TEST(DualResolve, DualInfeasibleStartSolvesCold) {
+  // The optimal basis of one objective is not dual feasible for the
+  // opposite one.
+  LpModel m = textbookLp();
+  const LpBasis start = solveLp(m).basis;
+  m.setObjectiveCoef(0, 3.0);
+  m.setObjectiveCoef(1, 5.0);
+  expectColdAnswer(m, start);
+}
+
+TEST(DualResolve, InjectedFailureIsConsultedOncePerSolve) {
+  // lp-numerical-failure consumes one solve whichever path it would take.
+  const LpModel m = textbookLp();
+  const LpBasis start = solveLp(m).basis;
+  util::FaultPlan faults;
+  faults.lpFailures = 1;
+  util::CancelToken token({}, faults);
+  EXPECT_EQ(solveLp(m, &token, &start).status, LpStatus::NumericalFailure);
+  const LpSolution s = solveLp(m, &token, &start);
+  EXPECT_EQ(s.status, LpStatus::Optimal);
+  EXPECT_FALSE(s.coldFallback);
+}
+
+TEST(DualResolve, DualPivotsCountTowardTheIterationBudget) {
+  // A child whose re-solve needs pivots stops at a one-pivot budget.
+  LpModel m = textbookLp();
+  const LpBasis start = solveLp(m).basis;
+  m.setColumnBounds(1, 0, 1);  // b <= 1 cuts the optimum b = 6 off
+  util::SolveBudget budget;
+  budget.maxLpIterations = 1;
+  util::CancelToken token(budget);
+  const LpSolution s = solveLp(m, &token, &start);
+  EXPECT_EQ(s.status, LpStatus::Cancelled);
+  EXPECT_LE(s.iterations, 1);
+  EXPECT_EQ(token.reason(), util::CancelReason::LpIterationLimit);
 }
 
 }  // namespace

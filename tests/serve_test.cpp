@@ -447,6 +447,29 @@ TEST(SchedulerServiceTest, ResumeRejectsAJournalFromAnotherConfiguration) {
 
 // ----------------------------------------------------------------- socket
 
+/// Runs `server` on its own thread. stop() asks the server to drain and
+/// joins the thread; the destructor does the same, so a failed ASSERT_*
+/// that leaves a test early cannot abort the binary through a joinable
+/// std::thread.
+class ServerThread {
+ public:
+  explicit ServerThread(Server& server)
+      : server_(server), runner_([&server] { server.run(); }) {}
+  ~ServerThread() { stop(); }
+  ServerThread(const ServerThread&) = delete;
+  ServerThread& operator=(const ServerThread&) = delete;
+
+  void stop() {
+    if (!runner_.joinable()) return;
+    server_.stop();
+    runner_.join();
+  }
+
+ private:
+  Server& server_;
+  std::thread runner_;
+};
+
 TEST(ServeSocket, RoundTripsRequestsHealthAndDrainOverAUnixSocket) {
   resetNetFaults();
   const std::string socketPath = tempPath("serve_rt.sock");
@@ -456,7 +479,7 @@ TEST(ServeSocket, RoundTripsRequestsHealthAndDrainOverAUnixSocket) {
   options.pollIntervalMs = 20;
   options.service = quietServiceOptions();
   Server server(options);
-  std::thread runner([&server] { server.run(); });
+  ServerThread runner(server);
 
   ClientOptions clientOptions;
   clientOptions.unixPath = socketPath;
@@ -478,8 +501,7 @@ TEST(ServeSocket, RoundTripsRequestsHealthAndDrainOverAUnixSocket) {
   EXPECT_EQ(stats.accepted, 1u);
   EXPECT_EQ(stats.cacheHits, 1u);
 
-  server.stop();
-  runner.join();
+  runner.stop();
   EXPECT_TRUE(server.service().draining());
   EXPECT_EQ(server.service().handle(makeRequest(3, 9999)).status,
             ResponseStatus::Draining);
@@ -495,7 +517,7 @@ TEST(ServeSocket, MalformedAndUnknownFramesGetStructuredResponses) {
   options.pollIntervalMs = 20;
   options.service = quietServiceOptions();
   Server server(options);
-  std::thread runner([&server] { server.run(); });
+  ServerThread runner(server);
 
   {
     Socket raw = connectUnix(socketPath);
@@ -520,8 +542,7 @@ TEST(ServeSocket, MalformedAndUnknownFramesGetStructuredResponses) {
               ResponseStatus::Malformed);
   }
 
-  server.stop();
-  runner.join();
+  runner.stop();
   EXPECT_GE(server.service().health().malformed, 1u);
   resetNetFaults();
 }
@@ -535,7 +556,7 @@ TEST(ServeSocket, ShortWriteFaultIsSurvivedByTheRetryPolicy) {
   options.pollIntervalMs = 20;
   options.service = quietServiceOptions();
   Server server(options);
-  std::thread runner([&server] { server.run(); });
+  ServerThread runner(server);
 
   // Arm after the server ctor (which arms the empty service plan): the very
   // first frame write in the process — the client's request — is torn.
@@ -551,8 +572,7 @@ TEST(ServeSocket, ShortWriteFaultIsSurvivedByTheRetryPolicy) {
   const ScheduleResponse response = client.schedule(makeRequest(1));
   EXPECT_EQ(response.status, ResponseStatus::Ok);
 
-  server.stop();
-  runner.join();
+  runner.stop();
   resetNetFaults();
 }
 

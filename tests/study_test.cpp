@@ -232,7 +232,6 @@ TEST(StudyJournal, JournaledRunMatchesPlainAndResumeReplaysAll) {
 
   StudyOptions journaled = deterministicOptions();
   journaled.journal.path = journalPath("study-plain.jrnl");
-  journaled.journal.checkpointEvery = 1;
   std::remove(journaled.journal.path.c_str());
   StudyResumeInfo info;
   const auto rows = runStudy(snapshots, journaled, 1, &info);
@@ -286,7 +285,6 @@ TEST(StudyJournalDeathTest, KillAtStepExitsAfterPersistingTheRow) {
 
   StudyOptions options = deterministicOptions();
   options.journal.path = journalPath("study-kill.jrnl");
-  options.journal.checkpointEvery = 1;
   std::remove(options.journal.path.c_str());
   options.faults = util::FaultPlan::parse("kill-at-step=1");
 
@@ -323,8 +321,8 @@ TEST(StudyJournal, TornTailIsReSolvedOnResume) {
     bytes.assign(std::istreambuf_iterator<char>(in),
                  std::istreambuf_iterator<char>());
   }
-  // Keep the header + meta record (the first ~44 bytes) but lose at least
-  // the last row record — a 5-byte nick would only tear the trailing cursor.
+  // Keep the header + meta record (the first ~44 bytes) and cut the file in
+  // half, which tears at least the last row record.
   ASSERT_GT(bytes.size(), 120u);
   {
     std::ofstream out(options.journal.path,
