@@ -1,7 +1,6 @@
 #include "dynsched/core/machine_history.hpp"
 
 #include <algorithm>
-#include <map>
 #include <sstream>
 
 #include "dynsched/core/job.hpp"
@@ -25,25 +24,33 @@ MachineHistory MachineHistory::fromRunningJobs(
   DYNSCHED_CHECK(machine.nodes > 0);
   // Aggregate released widths per estimated end time; "if more than one job
   // ends at the same time, a single time stamp is sufficient" (paper §3.1).
-  std::map<Time, NodeCount> releases;
+  // entries[0] is the staircase's first step at `now`; the rest first hold
+  // one (end time, released width) pair per running job.
+  std::vector<Entry> entries;
+  entries.reserve(running.size() + 1);
+  entries.push_back(Entry{now, 0});
   NodeCount busy = 0;
   for (const RunningJob& r : running) {
     DYNSCHED_CHECK_MSG(r.width > 0, "running job " << r.id << " has no width");
-    const Time end = std::max(r.estimatedEnd, now + 1);
-    releases[end] += r.width;
+    entries.push_back(Entry{std::max(r.estimatedEnd, now + 1), r.width});
     busy += r.width;
   }
   DYNSCHED_CHECK_MSG(busy <= machine.nodes,
                      "running jobs occupy " << busy << " of " << machine.nodes
                                             << " nodes");
-  std::vector<Entry> entries;
-  entries.reserve(releases.size() + 1);
+  std::sort(entries.begin() + 1, entries.end(),
+            [](const Entry& a, const Entry& b) { return a.time < b.time; });
+  // Turn released widths into free counts, one entry per distinct end time
+  // (every end is after `now`, so entries[0] never absorbs a release).
   NodeCount free = machine.nodes - busy;
-  entries.push_back(Entry{now, free});
-  for (const auto& [time, width] : releases) {
-    free += width;
-    entries.push_back(Entry{time, free});
+  entries[0].freeNodes = free;
+  std::size_t last = 0;
+  for (std::size_t i = 1; i < entries.size(); ++i) {
+    free += entries[i].freeNodes;
+    if (entries[i].time != entries[last].time) ++last;
+    entries[last] = Entry{entries[i].time, free};
   }
+  entries.resize(last + 1);
   return MachineHistory(std::move(entries));
 }
 

@@ -12,11 +12,10 @@ namespace dynsched::core {
 Schedule planInOrder(ResourceProfile profile, const std::vector<Job>& ordered,
                      Time now) {
   Schedule schedule;
+  schedule.reserve(ordered.size());
   for (const Job& job : ordered) {
-    const Time ready = std::max(now, job.submit);
-    const Time start = profile.earliestFit(ready, job.estimate, job.width);
-    profile.reserve(start, job.estimate, job.width);
-    schedule.add(job, start);
+    schedule.add(job, profile.place(std::max(now, job.submit), job.estimate,
+                                    job.width));
   }
   return schedule;
 }
@@ -51,6 +50,7 @@ Schedule planEasyBackfill(const MachineHistory& history,
   std::vector<Job> queue = sortByPolicy(PolicyKind::Fcfs, waiting);
   ResourceProfile profile(history);
   Schedule schedule;
+  schedule.reserve(queue.size());
   std::vector<bool> placed(queue.size(), false);
   std::size_t remaining = queue.size();
   while (remaining > 0) {
@@ -64,11 +64,8 @@ Schedule planEasyBackfill(const MachineHistory& history,
       }
     }
     const Job& head = queue[headIdx];
-    const Time headReady = std::max(now, head.submit);
-    const Time headStart =
-        profile.earliestFit(headReady, head.estimate, head.width);
-    profile.reserve(headStart, head.estimate, head.width);
-    schedule.add(head, headStart);
+    schedule.add(head, profile.place(std::max(now, head.submit),
+                                     head.estimate, head.width));
     placed[headIdx] = true;
     --remaining;
     // Backfill pass: later jobs may start only if they fit *now-or-later*

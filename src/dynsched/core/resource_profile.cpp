@@ -38,20 +38,23 @@ NodeCount ResourceProfile::freeAt(Time t) const {
   return segments_[segmentAt(t)].freeNodes;
 }
 
-bool ResourceProfile::fits(Time start, Time duration, NodeCount width) const {
-  DYNSCHED_CHECK(duration > 0 && width > 0);
-  if (width > machineSize_) return false;
-  const Time end = start + duration;
-  for (std::size_t i = segmentAt(start); i < segments_.size(); ++i) {
-    if (segments_[i].begin >= end) break;
+bool ResourceProfile::fitsFrom(std::size_t i, Time end,
+                               NodeCount width) const {
+  for (; i < segments_.size(); ++i) {
     if (segments_[i].freeNodes < width) return false;
     if (segments_[i].end >= end) break;
   }
   return true;
 }
 
-Time ResourceProfile::earliestFit(Time readyTime, Time duration,
-                                  NodeCount width) const {
+bool ResourceProfile::fits(Time start, Time duration, NodeCount width) const {
+  DYNSCHED_CHECK(duration > 0 && width > 0);
+  if (width > machineSize_) return false;
+  return fitsFrom(segmentAt(start), start + duration, width);
+}
+
+ResourceProfile::Fit ResourceProfile::findFit(Time readyTime, Time duration,
+                                              NodeCount width) const {
   DYNSCHED_CHECK(duration > 0 && width > 0);
   DYNSCHED_CHECK_MSG(width <= machineSize_,
                      "job width " << width << " exceeds machine size "
@@ -78,7 +81,7 @@ Time ResourceProfile::earliestFit(Time readyTime, Time duration,
       ++j;
       DYNSCHED_CHECK(j < segments_.size());
     }
-    if (ok) return candidate;
+    if (ok) return Fit{candidate, i};
     // Restart just after the blocking segment.
     i = j + 1;
     DYNSCHED_CHECK(i < segments_.size());
@@ -86,33 +89,59 @@ Time ResourceProfile::earliestFit(Time readyTime, Time duration,
   }
 }
 
-std::size_t ResourceProfile::splitAt(Time t) {
-  const std::size_t i = segmentAt(t);
-  if (segments_[i].begin == t) return i;
-  Segment tail = segments_[i];
-  tail.begin = t;
-  segments_[i].end = t;
-  segments_.insert(segments_.begin() + static_cast<std::ptrdiff_t>(i) + 1,
-                   tail);
-  return i + 1;
+Time ResourceProfile::earliestFit(Time readyTime, Time duration,
+                                  NodeCount width) const {
+  return findFit(readyTime, duration, width).start;
+}
+
+Time ResourceProfile::place(Time readyTime, Time duration, NodeCount width) {
+  const Fit fit = findFit(readyTime, duration, width);
+  take(fit.segment, fit.start, fit.start + duration, width);
+  return fit.start;
 }
 
 void ResourceProfile::reserve(Time start, Time duration, NodeCount width) {
   DYNSCHED_CHECK(duration > 0 && width > 0);
+  const std::size_t i = segmentAt(start);
   DYNSCHED_CHECK_MSG(
-      fits(start, duration, width),
+      width <= machineSize_ && fitsFrom(i, start + duration, width),
       "reserve(" << start << ", " << duration << ", " << width
                  << ") exceeds free capacity");
-  const Time end = start + duration;
-  std::size_t first = splitAt(start);
-  const std::size_t afterLast = splitAt(end);
-  for (std::size_t i = first; i < afterLast; ++i) {
+  take(i, start, start + duration, width);
+}
+
+void ResourceProfile::take(std::size_t i, Time start, Time end,
+                           NodeCount width) {
+  DYNSCHED_CHECK_MSG(end < kTimeInfinity, "reservation beyond horizon");
+  const auto at = [this](std::size_t k) {
+    return segments_.begin() + static_cast<std::ptrdiff_t>(k);
+  };
+  if (segments_[i].begin < start) {
+    Segment head = segments_[i];
+    head.end = start;
+    segments_[i].begin = start;
+    segments_.insert(at(i), head);
+    ++i;
+  }
+  const std::size_t first = i;
+  while (true) {
+    DYNSCHED_CHECK_MSG(segments_[i].freeNodes >= width,
+                       "reservation exceeds free capacity at "
+                           << segments_[i].begin);
+    if (segments_[i].end > end) {
+      Segment tail = segments_[i];
+      tail.begin = end;
+      segments_[i].end = end;
+      segments_.insert(at(i + 1), tail);
+    }
     segments_[i].freeNodes -= width;
+    if (segments_[i].end == end) break;
+    ++i;
   }
   // Merge equal-capacity neighbours to keep the profile compact; reservations
   // otherwise fragment it linearly in the number of jobs.
-  std::size_t lo = first > 0 ? first - 1 : 0;
-  std::size_t hi = std::min(afterLast + 1, segments_.size());
+  const std::size_t lo = first > 0 ? first - 1 : 0;
+  const std::size_t hi = std::min(i + 2, segments_.size());
   std::size_t write = lo;
   for (std::size_t read = lo + 1; read < hi; ++read) {
     if (segments_[read].freeNodes == segments_[write].freeNodes) {
@@ -122,10 +151,7 @@ void ResourceProfile::reserve(Time start, Time duration, NodeCount width) {
       segments_[write] = segments_[read];
     }
   }
-  if (write + 1 < hi) {
-    segments_.erase(segments_.begin() + static_cast<std::ptrdiff_t>(write) + 1,
-                    segments_.begin() + static_cast<std::ptrdiff_t>(hi));
-  }
+  if (write + 1 < hi) segments_.erase(at(write + 1), at(hi));
 }
 
 std::vector<MachineHistory::Entry> ResourceProfile::steps() const {

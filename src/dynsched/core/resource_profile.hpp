@@ -7,6 +7,14 @@
 // queries: the first time >= readyTime at which `width` nodes are free for
 // `duration` contiguous seconds. Earliest-fit placement in policy order is
 // exactly the paper's planning-based scheduling with implicit backfilling.
+//
+// place() is that placement as one operation: a single binary search for
+// the ready time, the earliest-fit scan, then the split/decrement/merge of
+// the reserved range from the segment where the scan stopped. reserve()
+// commits a caller-chosen start with one search and one capacity walk.
+// earliestFit() and fits() are the read-only queries of the same scan and
+// walk, for callers that look before they commit (order B&B's bound, EASY
+// backfilling, the validator, admission of advance reservations).
 #pragma once
 
 #include <string>
@@ -39,8 +47,12 @@ class ResourceProfile {
   /// True iff `width` nodes are free during [start, start + duration).
   bool fits(Time start, Time duration, NodeCount width) const;
 
-  /// Removes `width` nodes during [start, start + duration). The caller must
-  /// have verified feasibility (fits/earliestFit); violating capacity throws.
+  /// Reserves `width` nodes from the earliest fit (see earliestFit) and
+  /// returns its start: earliestFit() followed by reserve(), in one pass.
+  Time place(Time readyTime, Time duration, NodeCount width);
+
+  /// Removes `width` nodes during [start, start + duration). Throws
+  /// CheckError, leaving the profile untouched, if they are not free.
   void reserve(Time start, Time duration, NodeCount width);
 
   /// Number of internal segments (for tests / complexity checks).
@@ -61,12 +73,24 @@ class ResourceProfile {
     NodeCount freeNodes;
   };
 
+  /// An earliest fit: its start and the index of the segment holding it.
+  struct Fit {
+    Time start;
+    std::size_t segment;
+  };
+
   /// Index of the segment containing time t.
   std::size_t segmentAt(Time t) const;
 
-  /// Splits so that `t` is a segment boundary; returns the index of the
-  /// segment beginning at t.
-  std::size_t splitAt(Time t);
+  /// The earliest-fit scan behind earliestFit() and place().
+  Fit findFit(Time readyTime, Time duration, NodeCount width) const;
+
+  /// True iff `width` nodes are free from segment `i` until `end`.
+  bool fitsFrom(std::size_t i, Time end, NodeCount width) const;
+
+  /// Takes `width` nodes during [start, end), where segment `i` holds
+  /// `start`: splits at both ends, decrements, and merges equal neighbours.
+  void take(std::size_t i, Time start, Time end, NodeCount width);
 
   std::vector<Segment> segments_;
   NodeCount machineSize_;

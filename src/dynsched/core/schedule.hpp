@@ -33,6 +33,10 @@ class Schedule {
   void add(const Job& job, Time start, Time duration);
   void add(const Job& job, Time start) { add(job, start, job.estimate); }
 
+  /// Sizes the entry list for `count` jobs, so that planners that know
+  /// their job count allocate once.
+  void reserve(std::size_t count) { entries_.reserve(count); }
+
   const std::vector<ScheduledJob>& entries() const { return entries_; }
   std::size_t size() const { return entries_.size(); }
   bool empty() const { return entries_.empty(); }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <optional>
-#include <queue>
 #include <sstream>
 
 #include "dynsched/analysis/audit.hpp"
@@ -30,6 +29,21 @@ struct ActualEndLater {
     return a.job.id > b.job.id;
   }
 };
+
+// The running set is a binary heap in a plain vector (std::push_heap /
+// std::pop_heap, as std::priority_queue does it), so that replans can read
+// it in place. front() is the next job to end.
+void pushRunning(std::vector<RunningEntry>& running, RunningEntry entry) {
+  running.push_back(std::move(entry));
+  std::push_heap(running.begin(), running.end(), ActualEndLater{});
+}
+
+RunningEntry popRunning(std::vector<RunningEntry>& running) {
+  std::pop_heap(running.begin(), running.end(), ActualEndLater{});
+  RunningEntry entry = std::move(running.back());
+  running.pop_back();
+  return entry;
+}
 
 struct WaitingEntry {
   core::Job job;
@@ -110,6 +124,7 @@ StepSnapshot takeSnapshot(util::PayloadReader& r) {
   snap.bestValue = r.f64();
   snap.maxPolicyMakespan = r.i64();
   const std::uint32_t scheduled = r.u32();
+  snap.bestSchedule.reserve(scheduled);
   for (std::uint32_t i = 0; i < scheduled; ++i) {
     const core::Job job = takeJob(r);
     const Time start = r.i64();
@@ -213,8 +228,7 @@ SimulationReport RmsSimulator::run(const std::vector<core::Job>& jobs) {
   const bool haveReservations = !reservations.reservations().empty();
 
   std::size_t submitIdx = 0;
-  std::priority_queue<RunningEntry, std::vector<RunningEntry>, ActualEndLater>
-      running;
+  std::vector<RunningEntry> running;  // heap: pushRunning / popRunning
   std::vector<WaitingEntry> waiting;
   std::size_t eligibleSteps = 0;  // for SnapshotOptions::everyNth
 
@@ -251,15 +265,15 @@ SimulationReport RmsSimulator::run(const std::vector<core::Job>& jobs) {
       w.u8(static_cast<std::uint8_t>(s.from));
       w.u8(static_cast<std::uint8_t>(s.to));
     }
-    auto runningCopy = running;
+    // Running jobs in completion order, as the heap pops them.
+    std::vector<RunningEntry> runningCopy = running;
     w.u32(static_cast<std::uint32_t>(runningCopy.size()));
     while (!runningCopy.empty()) {
-      const RunningEntry& r = runningCopy.top();
+      const RunningEntry r = popRunning(runningCopy);
       putJob(w, r.job);
       w.i64(r.start);
       w.i64(r.actualEnd);
       w.i64(r.estimatedEnd);
-      runningCopy.pop();
     }
     w.u32(static_cast<std::uint32_t>(waiting.size()));
     for (const WaitingEntry& e : waiting) {
@@ -310,7 +324,7 @@ SimulationReport RmsSimulator::run(const std::vector<core::Job>& jobs) {
       entry.start = r.i64();
       entry.actualEnd = r.i64();
       entry.estimatedEnd = r.i64();
-      running.push(entry);
+      pushRunning(running, entry);
     }
     waiting.resize(r.u32());
     for (WaitingEntry& e : waiting) {
@@ -375,22 +389,21 @@ SimulationReport RmsSimulator::run(const std::vector<core::Job>& jobs) {
   }
   // --------------------------------------------------------------------------
 
+  std::vector<core::RunningJob> runningJobs;  // historyNow's buffer
   const auto historyNow = [&](Time now) {
-    std::vector<core::RunningJob> runningJobs;
-    runningJobs.reserve(running.size());
-    // priority_queue has no iteration; copy via the underlying container
-    // trick is fragile, so we keep a parallel snapshot instead.
-    std::priority_queue<RunningEntry, std::vector<RunningEntry>,
-                        ActualEndLater>
-        copy = running;
-    while (!copy.empty()) {
-      const RunningEntry& r = copy.top();
+    // The history aggregates releases, so heap order serves as well as
+    // completion order.
+    runningJobs.clear();
+    for (const RunningEntry& r : running) {
       runningJobs.push_back(
           core::RunningJob{r.job.id, r.job.width, r.estimatedEnd});
-      copy.pop();
     }
     return core::MachineHistory::fromRunningJobs(machine_, now, runningJobs);
   };
+
+  // Planned starts by job id, for handing a schedule back to the waiting
+  // set in O(n log n).
+  std::vector<std::pair<JobId, Time>> plannedStarts;
 
   const auto replan = [&](Time now, bool tuningEvent) {
     ++report.replans;
@@ -492,11 +505,23 @@ SimulationReport RmsSimulator::run(const std::vector<core::Job>& jobs) {
     // EASY, and dynP paths all pass the same gate with the same history.
     DYNSCHED_AUDIT_SCHEDULE("sim.replan", schedule, history, now, book);
 
+    plannedStarts.clear();
+    for (const core::ScheduledJob& e : schedule.entries()) {
+      plannedStarts.emplace_back(e.job.id, e.start);
+    }
+    const auto byId = [](const std::pair<JobId, Time>& a,
+                         const std::pair<JobId, Time>& b) {
+      return a.first < b.first;
+    };
+    // Stable, so a duplicated id maps to its first entry as find() would.
+    std::stable_sort(plannedStarts.begin(), plannedStarts.end(), byId);
     for (WaitingEntry& w : waiting) {
-      const core::ScheduledJob* entry = schedule.find(w.job.id);
-      DYNSCHED_CHECK_MSG(entry != nullptr,
+      const auto it =
+          std::lower_bound(plannedStarts.begin(), plannedStarts.end(),
+                           std::pair<JobId, Time>{w.job.id, kNoTime}, byId);
+      DYNSCHED_CHECK_MSG(it != plannedStarts.end() && it->first == w.job.id,
                          "replan lost job " << w.job.id);
-      w.plannedStart = entry->start;
+      w.plannedStart = it->second;
     }
   };
 
@@ -525,7 +550,7 @@ SimulationReport RmsSimulator::run(const std::vector<core::Job>& jobs) {
     }
     const Time tSubmit =
         submitIdx < trace.size() ? trace[submitIdx].submit : kNone;
-    const Time tEnd = !running.empty() ? running.top().actualEnd : kNone;
+    const Time tEnd = !running.empty() ? running.front().actualEnd : kNone;
     Time tStart = kNone;
     for (const WaitingEntry& w : waiting) {
       DYNSCHED_CHECK_MSG(w.plannedStart != kNoTime,
@@ -538,9 +563,8 @@ SimulationReport RmsSimulator::run(const std::vector<core::Job>& jobs) {
     if (tEnd == now) {
       // Completions first: freed resources must be visible to replans at
       // the same instant.
-      while (!running.empty() && running.top().actualEnd == now) {
-        const RunningEntry r = running.top();
-        running.pop();
+      while (!running.empty() && running.front().actualEnd == now) {
+        const RunningEntry r = popRunning(running);
         report.completed.push_back(CompletedJob{r.job, r.start, r.actualEnd});
       }
       replan(now, /*tuningEvent=*/false);
@@ -561,8 +585,8 @@ SimulationReport RmsSimulator::run(const std::vector<core::Job>& jobs) {
     for (std::size_t i = 0; i < waiting.size();) {
       if (waiting[i].plannedStart == now) {
         const core::Job& job = waiting[i].job;
-        running.push(RunningEntry{job, now, now + job.actualRuntime,
-                                  now + job.estimate});
+        pushRunning(running, RunningEntry{job, now, now + job.actualRuntime,
+                                          now + job.estimate});
         waiting.erase(waiting.begin() + static_cast<std::ptrdiff_t>(i));
         startedAny = true;
       } else {

@@ -1,6 +1,8 @@
 // MachineHistory and ResourceProfile tests, including a randomized property
 // suite that cross-checks the segment-based profile against a brute-force
 // per-second capacity array.
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "dynsched/core/job.hpp"
@@ -106,6 +108,45 @@ TEST(ResourceProfile, ReserveRejectsOverflow) {
   EXPECT_NO_THROW(p.reserve(50, 10, 2));
 }
 
+bool sameSteps(const std::vector<MachineHistory::Entry>& a,
+               const std::vector<MachineHistory::Entry>& b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                    [](const MachineHistory::Entry& x,
+                       const MachineHistory::Entry& y) {
+                      return x.time == y.time && x.freeNodes == y.freeNodes;
+                    });
+}
+
+TEST(ResourceProfile, ReserveRejectsOverflowInALaterSegment) {
+  // [20, 60) fits in its first segment ([0, 50), 8 free) but not in its
+  // second ([50, 60), 2 free): the reservation must throw before it splits
+  // or decrements anything.
+  ResourceProfile p(Machine{8}, 0);
+  p.reserve(50, 10, 6);
+  const auto before = p.steps();
+  const std::size_t segments = p.segmentCount();
+  EXPECT_THROW(p.reserve(20, 40, 3), CheckError);
+  EXPECT_TRUE(sameSteps(p.steps(), before)) << p.toString();
+  EXPECT_EQ(p.segmentCount(), segments);
+  EXPECT_THROW(p.reserve(0, 10, 9), CheckError);  // wider than the machine
+  EXPECT_TRUE(sameSteps(p.steps(), before)) << p.toString();
+  EXPECT_NO_THROW(p.reserve(20, 40, 2));
+  EXPECT_EQ(p.freeAt(55), 0);
+}
+
+TEST(ResourceProfile, PlaceReservesTheEarliestFit) {
+  ResourceProfile p(Machine{4}, 0);
+  p.reserve(10, 10, 4);  // block [10, 20)
+  EXPECT_EQ(p.place(0, 15, 1), 20);  // [0, 10) is too short
+  EXPECT_EQ(p.freeAt(20), 3);
+  EXPECT_EQ(p.freeAt(34), 3);
+  EXPECT_EQ(p.freeAt(35), 4);
+  EXPECT_EQ(p.place(0, 10, 4), 0);  // fills the gap exactly
+  EXPECT_EQ(p.freeAt(0), 0);
+  EXPECT_EQ(p.earliestFit(0, 1, 1), 20);
+  EXPECT_THROW(p.place(0, 10, 5), CheckError);  // wider than the machine
+}
+
 TEST(ResourceProfile, SegmentsMergeAfterAdjacentReservations) {
   ResourceProfile p(Machine{8}, 0);
   p.reserve(0, 10, 4);
@@ -157,6 +198,7 @@ TEST_P(ProfileRandomTest, MatchesPerSecondOracle) {
   const auto history =
       MachineHistory::fromRunningJobs(Machine{param.machine}, 0, running);
   ResourceProfile profile(history);
+  ResourceProfile placed(history);  // the same placements through place()
 
   // Oracle: per-second free capacity array.
   std::vector<NodeCount> oracle(kHorizon);
@@ -192,6 +234,14 @@ TEST_P(ProfileRandomTest, MatchesPerSecondOracle) {
 
     ASSERT_TRUE(profile.fits(got, duration, width));
     profile.reserve(got, duration, width);
+    // Differential: the one-pass place() on a twin profile finds the same
+    // start and leaves the same staircase as earliestFit() + reserve().
+    ASSERT_EQ(placed.place(ready, duration, width), got)
+        << "op " << op << " seed " << param.seed;
+    ASSERT_TRUE(sameSteps(placed.steps(), profile.steps()))
+        << "op " << op << " seed " << param.seed << "\nreserve:\n"
+        << profile.toString() << "place:\n" << placed.toString();
+    ASSERT_EQ(placed.segmentCount(), profile.segmentCount());
     for (Time t = got; t < got + duration; ++t) {
       oracle[static_cast<std::size_t>(t)] -= width;
     }

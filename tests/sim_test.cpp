@@ -1,6 +1,7 @@
 // Discrete-event RMS simulator tests: conservation, timing semantics,
 // early-completion replanning, policy switching, snapshot capture.
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <set>
@@ -307,6 +308,69 @@ TEST_P(SimulatorCapacityAudit, MachineNeverOversubscribed) {
 
 INSTANTIATE_TEST_SUITE_P(RandomSeeds, SimulatorCapacityAudit,
                          ::testing::Range<std::uint64_t>(300, 310));
+
+TEST(Simulator, DynPDecisionsMatchRecordedDigest) {
+  // Bit-identity guard for the planning kernel: every dynP decision on a
+  // fixed CTC-like trace, folded into one digest. 2,000 jobs with arrivals
+  // compressed until they offer 1.3 times the machine give 2,000 tuning
+  // steps of about 50 waiting jobs each. The constant was recorded
+  // before ResourceProfile::place() replaced earliestFit() + reserve() in
+  // the planner; a kernel change that moves any planned start, metric value
+  // or policy choice changes it.
+  constexpr NodeCount kNodes = 430;
+  std::vector<core::Job> jobs =
+      core::fromSwf(trace::ctcModel().generate(2000, 1601));
+  double work = 0;
+  for (const core::Job& job : jobs) {
+    work += static_cast<double>(job.width) *
+            static_cast<double>(job.actualRuntime);
+  }
+  const Time first = jobs.front().submit;
+  const double scale =
+      work / (1.3 * kNodes) /
+      static_cast<double>(jobs.back().submit - first);
+  for (core::Job& job : jobs) {
+    job.submit = static_cast<Time>(
+        std::llround(static_cast<double>(job.submit - first) * scale));
+  }
+
+  SimOptions options;
+  options.kind = SchedulerKind::DynP;
+  options.snapshots.enabled = true;
+  options.snapshots.minWaiting = 1;
+  options.snapshots.maxWaiting = jobs.size();
+  options.snapshots.maxCount = jobs.size();
+  RmsSimulator sim(core::Machine{kNodes}, options);
+  const SimulationReport report = sim.run(jobs);
+  ASSERT_EQ(report.completed.size(), jobs.size());
+  ASSERT_EQ(report.degradedSteps, 0u);
+
+  util::PayloadWriter w;
+  double waiting = 0;
+  for (const StepSnapshot& snap : report.snapshots) {
+    waiting += static_cast<double>(snap.waiting.size());
+    w.i64(snap.time);
+    for (const double value : snap.values) w.f64(value);
+    w.u8(static_cast<std::uint8_t>(snap.bestPolicy));
+    for (const core::ScheduledJob& e : snap.bestSchedule.entries()) {
+      w.i64(e.job.id);
+      w.i64(e.start);
+    }
+  }
+  for (const CompletedJob& c : report.completed) {
+    w.i64(c.job.id);
+    w.i64(c.start);
+  }
+  const std::uint64_t digest =
+      util::fnv1a64(w.bytes().data(), w.bytes().size());
+  waiting /= static_cast<double>(report.snapshots.size());
+  EXPECT_EQ(report.snapshots.size(), report.tuningSteps);
+  EXPECT_GT(waiting, 10.0) << "the trace no longer queues like the paper's";
+  EXPECT_EQ(digest, 0xb8b434add63860b9ULL)
+      << "digest 0x" << std::hex << digest << std::dec << " over "
+      << report.snapshots.size() << " steps, " << waiting
+      << " waiting jobs on average";
+}
 
 TEST(Simulator, DynPNeverLosesJobsUnderRetuneOnEnd) {
   const auto trace = trace::ctcModel().generate(120, 61);
