@@ -347,7 +347,7 @@ if ! skip tidy; then
     || { cat build-tidy.cmake.log; FAILED="$FAILED tidy"; }
   cmake --build build-tidy -j "$JOBS" --target \
       dynsched_util dynsched_trace dynsched_core dynsched_analysis \
-      dynsched_lp dynsched_mip dynsched_sim dynsched_tip \
+      dynsched_lp dynsched_mip dynsched_sim dynsched_tip dynsched_serve \
     || FAILED="$FAILED tidy"
 fi
 

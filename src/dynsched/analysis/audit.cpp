@@ -77,9 +77,13 @@ namespace dynsched::core {
 void auditScheduleHook(const char* site, const Schedule& schedule,
                        const MachineHistory& history, Time now,
                        const ReservationBook* reservations,
-                       const std::vector<MetricExpectation>& expected) {
+                       const MetricExpectation* expected) {
+  // The validator's vector is built only once the audit is known to run.
+  if (!analysis::auditEnabled()) return;
+  std::vector<MetricExpectation> expectations;
+  if (expected != nullptr) expectations.push_back(*expected);
   analysis::auditSchedule(site, schedule, history, now, reservations,
-                          expected);
+                          expectations);
 }
 
 }  // namespace dynsched::core

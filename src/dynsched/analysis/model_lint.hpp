@@ -20,7 +20,8 @@
 // Enforcement follows the audit layer: under an enabled DYNSCHED_AUDIT,
 // error findings throw AuditError naming the producing site; otherwise the
 // report is logged. Every solve entry point (tip::buildModel,
-// tip::exactBestSchedule, mip::solveMip) lints first.
+// mip::solveMip) lints first, and so does the enumeration oracle the tests
+// keep in tests/support/exact_oracle.cpp.
 #pragma once
 
 #include <cstdint>

@@ -10,22 +10,24 @@
 // module graph acyclic (DSL201).
 #pragma once
 
-#include <vector>
-
-#include "dynsched/core/metrics.hpp"
+#include "dynsched/util/types.hpp"
 
 namespace dynsched::core {
 
 class MachineHistory;
 class ReservationBook;
+class Schedule;
+struct MetricExpectation;
 
-/// Validates `schedule` when auditing is enabled (see analysis/audit.hpp);
-/// throws analysis::AuditError naming `site` on any violation. Defined in
-/// analysis/audit.cpp.
+/// Validates `schedule` when auditing is enabled (see analysis/audit.hpp),
+/// checking the metric value in `expected` too when it is non-null; throws
+/// analysis::AuditError naming `site` on any violation. Takes the
+/// expectation by pointer so that a disabled audit costs no allocation.
+/// Defined in analysis/audit.cpp.
 void auditScheduleHook(const char* site, const Schedule& schedule,
                        const MachineHistory& history, Time now,
                        const ReservationBook* reservations = nullptr,
-                       const std::vector<MetricExpectation>& expected = {});
+                       const MetricExpectation* expected = nullptr);
 
 }  // namespace dynsched::core
 

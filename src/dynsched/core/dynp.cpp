@@ -24,17 +24,6 @@ DynPScheduler::DynPScheduler(Machine machine, DynPConfig config)
   stats_.chosenCount.assign(policies_.size(), 0);
 }
 
-void DynPScheduler::restoreState(PolicyKind activePolicy, DynPStats stats) {
-  policyIndex(policies_, activePolicy);  // validates membership
-  DYNSCHED_CHECK_MSG(stats.chosenCount.size() == policies_.size(),
-                     "restored chosenCount has " << stats.chosenCount.size()
-                                                 << " entries for "
-                                                 << policies_.size()
-                                                 << " policies");
-  activePolicy_ = activePolicy;
-  stats_ = std::move(stats);
-}
-
 SelfTuningResult DynPScheduler::selfTuningStep(
     const MachineHistory& history, const std::vector<Job>& waiting, Time now,
     const ReservationBook* reservations) {
@@ -49,16 +38,15 @@ SelfTuningResult DynPScheduler::selfTuningStep(
   const MetricEvaluator evaluator(now, machine_.nodes);
   for (std::size_t i = 0; i < policies_.size(); ++i) {
     result.schedules[i] =
-        reservations != nullptr
-            ? planSchedule(history, *reservations, waiting, policies_[i], now)
-            : planSchedule(history, waiting, policies_[i], now);
+        planSchedule(history, waiting, policies_[i], now, reservations);
     result.values[i] =
         evaluator.evaluate(result.schedules[i], config_.metric);
     // Candidate schedules decide the policy switch; audit each one together
     // with the metric value the decider will see.
-    DYNSCHED_CORE_AUDIT_SCHEDULE(
-        "dynp.selfTuningStep", result.schedules[i], history, now, reservations,
-        {MetricExpectation{config_.metric, result.values[i]}});
+    [[maybe_unused]] const MetricExpectation expected{config_.metric,
+                                                      result.values[i]};
+    DYNSCHED_CORE_AUDIT_SCHEDULE("dynp.selfTuningStep", result.schedules[i],
+                                 history, now, reservations, &expected);
   }
 
   result.chosenPolicy = decider_->decide(policies_, result.values,

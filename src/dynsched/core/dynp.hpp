@@ -69,13 +69,6 @@ class DynPScheduler {
                                   const std::vector<Job>& waiting, Time now,
                                   const ReservationBook* reservations = nullptr);
 
-  /// Restores a previously observed scheduler state (journal resume): the
-  /// active policy — which must belong to this scheduler's policy set — and
-  /// the lifetime counters (chosenCount must match the set's size). The
-  /// deciders are stateless beyond the active policy, so this is the entire
-  /// mutable state of the scheduler.
-  void restoreState(PolicyKind activePolicy, DynPStats stats);
-
   PolicyKind activePolicy() const { return activePolicy_; }
   const PolicySet& policies() const { return policies_; }
   const DynPConfig& config() const { return config_; }

@@ -27,21 +27,16 @@ Schedule planInOrder(const MachineHistory& history,
 
 Schedule planSchedule(const MachineHistory& history,
                       const std::vector<Job>& waiting, PolicyKind policy,
-                      Time now) {
-  Schedule schedule = planInOrder(history, sortByPolicy(policy, waiting), now);
-  DYNSCHED_CORE_AUDIT_SCHEDULE("planner.planSchedule", schedule, history, now);
-  return schedule;
-}
-
-Schedule planSchedule(const MachineHistory& history,
-                      const ReservationBook& reservations,
-                      const std::vector<Job>& waiting, PolicyKind policy,
-                      Time now) {
+                      Time now, const ReservationBook* reservations) {
   Schedule schedule =
-      planInOrder(profileWithReservations(history, reservations, now),
-                  sortByPolicy(policy, waiting), now);
-  DYNSCHED_CORE_AUDIT_SCHEDULE("planner.planSchedule+reservations", schedule,
-                          history, now, &reservations);
+      reservations != nullptr
+          ? planInOrder(profileWithReservations(history, *reservations, now),
+                        sortByPolicy(policy, waiting), now)
+          : planInOrder(history, sortByPolicy(policy, waiting), now);
+  DYNSCHED_CORE_AUDIT_SCHEDULE(reservations != nullptr
+                                   ? "planner.planSchedule+reservations"
+                                   : "planner.planSchedule",
+                               schedule, history, now, reservations);
   return schedule;
 }
 

@@ -6,7 +6,7 @@
 // left in front of an earlier (wider) one without delaying it, "backfilling
 // is done implicitly" (paper Section 2).
 //
-// Overloads taking a ReservationBook plan around admitted advance
+// Given a ReservationBook, planSchedule() plans around the admitted advance
 // reservations (see reservation.hpp); the base profile then carries both
 // the machine history and the reserved rectangles.
 //
@@ -26,17 +26,12 @@ namespace dynsched::core {
 class MachineHistory;  // plans only read it by reference
 
 /// Builds a full schedule for `waiting` at time `now` under `policy`, given
-/// the machine history (running jobs). Jobs are planned with their estimated
+/// the machine history (running jobs) and, when `reservations` is non-null,
+/// the admitted advance reservations. Jobs are planned with their estimated
 /// duration; every job gets a start >= max(now, submit).
 Schedule planSchedule(const MachineHistory& history,
                       const std::vector<Job>& waiting, PolicyKind policy,
-                      Time now);
-
-/// As above, but also planning around the admitted advance reservations.
-Schedule planSchedule(const MachineHistory& history,
-                      const ReservationBook& reservations,
-                      const std::vector<Job>& waiting, PolicyKind policy,
-                      Time now);
+                      Time now, const ReservationBook* reservations = nullptr);
 
 /// Places jobs in a caller-supplied order (no sorting). Used by the ILP
 /// compaction step, which must preserve the solver's starting order.

@@ -1,13 +1,11 @@
 #include "dynsched/sim/simulator.hpp"
 
 #include <algorithm>
-#include <optional>
 #include <sstream>
 
 #include "dynsched/analysis/audit.hpp"
 #include "dynsched/util/error.hpp"
 #include "dynsched/util/logging.hpp"
-#include "dynsched/util/signals.hpp"
 #include "dynsched/util/timer.hpp"
 
 namespace dynsched::sim {
@@ -50,126 +48,6 @@ struct WaitingEntry {
   Time plannedStart = kNoTime;
 };
 
-// ---------------------------------------------------------------------------
-// Journal (de)serialization. The checkpoint record carries the *entire*
-// mutable state of the event loop — everything the deterministic simulation
-// needs to continue exactly where a dead process stopped. MachineHistory
-// never appears except inside captured snapshots: the loop rebuilds it from
-// the running set on every replan.
-
-void putJob(util::PayloadWriter& w, const core::Job& job) {
-  w.i64(job.id);
-  w.i64(job.submit);
-  w.u32(static_cast<std::uint32_t>(job.width));
-  w.i64(job.estimate);
-  w.i64(job.actualRuntime);
-}
-
-core::Job takeJob(util::PayloadReader& r) {
-  core::Job job;
-  job.id = r.i64();
-  job.submit = r.i64();
-  job.width = static_cast<NodeCount>(r.u32());
-  job.estimate = r.i64();
-  job.actualRuntime = r.i64();
-  return job;
-}
-
-core::PolicyKind takePolicy(util::PayloadReader& r) {
-  const std::uint8_t byte = r.u8();
-  core::PolicyKind policy;
-  DYNSCHED_CHECK_MSG(core::policyFromIndex(byte, policy),
-                     "sim checkpoint: bad policy byte "
-                         << static_cast<int>(byte));
-  return policy;
-}
-
-void putSnapshot(util::PayloadWriter& w, const StepSnapshot& snap) {
-  w.i64(snap.time);
-  const auto& entries = snap.history.entries();
-  w.u32(static_cast<std::uint32_t>(entries.size()));
-  for (const core::MachineHistory::Entry& e : entries) {
-    w.i64(e.time);
-    w.u32(static_cast<std::uint32_t>(e.freeNodes));
-  }
-  w.u32(static_cast<std::uint32_t>(snap.waiting.size()));
-  for (const core::Job& job : snap.waiting) putJob(w, job);
-  w.u32(static_cast<std::uint32_t>(snap.values.size()));
-  for (double v : snap.values) w.f64(v);
-  w.u8(static_cast<std::uint8_t>(snap.bestPolicy));
-  w.f64(snap.bestValue);
-  w.i64(snap.maxPolicyMakespan);
-  w.u32(static_cast<std::uint32_t>(snap.bestSchedule.size()));
-  for (const core::ScheduledJob& s : snap.bestSchedule.entries()) {
-    putJob(w, s.job);
-    w.i64(s.start);
-    w.i64(s.duration);
-  }
-}
-
-StepSnapshot takeSnapshot(util::PayloadReader& r) {
-  StepSnapshot snap;
-  snap.time = r.i64();
-  std::vector<core::MachineHistory::Entry> entries(r.u32());
-  for (auto& e : entries) {
-    e.time = r.i64();
-    e.freeNodes = static_cast<NodeCount>(r.u32());
-  }
-  snap.history = core::MachineHistory::fromEntries(std::move(entries));
-  snap.waiting.resize(r.u32());
-  for (core::Job& job : snap.waiting) job = takeJob(r);
-  snap.values.resize(r.u32());
-  for (double& v : snap.values) v = r.f64();
-  snap.bestPolicy = takePolicy(r);
-  snap.bestValue = r.f64();
-  snap.maxPolicyMakespan = r.i64();
-  const std::uint32_t scheduled = r.u32();
-  snap.bestSchedule.reserve(scheduled);
-  for (std::uint32_t i = 0; i < scheduled; ++i) {
-    const core::Job job = takeJob(r);
-    const Time start = r.i64();
-    const Time duration = r.i64();
-    snap.bestSchedule.add(job, start, duration);
-  }
-  return snap;
-}
-
-/// Deterministic fingerprint binding a simulator journal to its run: the
-/// machine, every option that influences the event sequence, and the trace.
-std::uint64_t simFingerprint(const core::Machine& machine,
-                             const SimOptions& options,
-                             const std::vector<core::Job>& trace) {
-  util::PayloadWriter w;
-  w.u32(static_cast<std::uint32_t>(machine.nodes));
-  w.u8(static_cast<std::uint8_t>(options.kind));
-  w.u8(static_cast<std::uint8_t>(options.fixedPolicy));
-  w.u8(static_cast<std::uint8_t>(options.dynp.metric));
-  w.str(options.dynp.decider);
-  w.u8(static_cast<std::uint8_t>(options.dynp.initialPolicy));
-  w.u32(static_cast<std::uint32_t>(options.dynp.policies.size()));
-  for (core::PolicyKind p : options.dynp.policies) {
-    w.u8(static_cast<std::uint8_t>(p));
-  }
-  w.u32(static_cast<std::uint32_t>(options.reservations.size()));
-  for (const core::Reservation& r : options.reservations) {
-    w.i64(r.id);
-    w.i64(r.start);
-    w.i64(r.duration);
-    w.u32(static_cast<std::uint32_t>(r.width));
-  }
-  w.boolean(options.retuneOnJobEnd);
-  w.boolean(options.failSoft);
-  w.boolean(options.snapshots.enabled);
-  w.u64(options.snapshots.minWaiting);
-  w.u64(options.snapshots.maxWaiting);
-  w.u64(options.snapshots.everyNth);
-  w.u64(options.snapshots.maxCount);
-  w.str(options.faults.has_value() ? options.faults->describe() : "");
-  w.u64(trace.size());
-  for (const core::Job& job : trace) putJob(w, job);
-  return util::fnv1a64(w.bytes().data(), w.bytes().size());
-}
-
 }  // namespace
 
 const char* schedulerKindName(SchedulerKind kind) {
@@ -209,7 +87,6 @@ SimulationReport RmsSimulator::run(const std::vector<core::Job>& jobs) {
   }
 
   core::DynPScheduler dynp(machine_, options_.dynp);
-  core::PolicyKind fixedPolicy = options_.fixedPolicy;
 
   // Admit the configured advance reservations against the empty machine
   // (in list order) before any job arrives.
@@ -230,164 +107,6 @@ SimulationReport RmsSimulator::run(const std::vector<core::Job>& jobs) {
   std::size_t submitIdx = 0;
   std::vector<RunningEntry> running;  // heap: pushRunning / popRunning
   std::vector<WaitingEntry> waiting;
-  std::size_t eligibleSteps = 0;  // for SnapshotOptions::everyNth
-
-  // --- Crash-safety journal -------------------------------------------------
-  const bool journaled = options_.journal.enabled();
-  std::optional<util::JournalWriter> writer;
-  std::uint64_t eventCounter = 0;       // processed event-loop iterations
-  std::uint64_t lastCheckpointEvent = 0;
-
-  const auto writeCheckpoint = [&] {
-    util::PayloadWriter w;
-    w.u64(eventCounter);
-    w.u64(submitIdx);
-    w.u64(eligibleSteps);
-    w.u8(static_cast<std::uint8_t>(dynp.activePolicy()));
-    const core::DynPStats& stats = dynp.stats();
-    w.u64(stats.steps);
-    w.u64(stats.switches);
-    w.f64(stats.totalPlanningSeconds);
-    w.u32(static_cast<std::uint32_t>(stats.chosenCount.size()));
-    for (std::size_t c : stats.chosenCount) w.u64(c);
-    w.u64(report.replans);
-    w.u64(report.tuningSteps);
-    w.u64(report.degradedSteps);
-    w.u32(static_cast<std::uint32_t>(report.completed.size()));
-    for (const CompletedJob& c : report.completed) {
-      putJob(w, c.job);
-      w.i64(c.start);
-      w.i64(c.end);
-    }
-    w.u32(static_cast<std::uint32_t>(report.switches.size()));
-    for (const PolicySwitch& s : report.switches) {
-      w.i64(s.time);
-      w.u8(static_cast<std::uint8_t>(s.from));
-      w.u8(static_cast<std::uint8_t>(s.to));
-    }
-    // Running jobs in completion order, as the heap pops them.
-    std::vector<RunningEntry> runningCopy = running;
-    w.u32(static_cast<std::uint32_t>(runningCopy.size()));
-    while (!runningCopy.empty()) {
-      const RunningEntry r = popRunning(runningCopy);
-      putJob(w, r.job);
-      w.i64(r.start);
-      w.i64(r.actualEnd);
-      w.i64(r.estimatedEnd);
-    }
-    w.u32(static_cast<std::uint32_t>(waiting.size()));
-    for (const WaitingEntry& e : waiting) {
-      putJob(w, e.job);
-      w.i64(e.plannedStart);
-    }
-    w.u32(static_cast<std::uint32_t>(report.snapshots.size()));
-    for (const StepSnapshot& snap : report.snapshots) putSnapshot(w, snap);
-    writer->write(kSimCheckpointRecord, kSimCheckpointVersion, w);
-  };
-
-  const auto restoreCheckpoint = [&](const std::string& payload) {
-    util::PayloadReader r(payload);
-    eventCounter = r.u64();
-    submitIdx = static_cast<std::size_t>(r.u64());
-    eligibleSteps = static_cast<std::size_t>(r.u64());
-    const core::PolicyKind active = takePolicy(r);
-    core::DynPStats stats;
-    stats.steps = static_cast<std::size_t>(r.u64());
-    stats.switches = static_cast<std::size_t>(r.u64());
-    stats.totalPlanningSeconds = r.f64();
-    stats.chosenCount.resize(r.u32());
-    for (std::size_t& c : stats.chosenCount) {
-      c = static_cast<std::size_t>(r.u64());
-    }
-    if (options_.kind == SchedulerKind::DynP) {
-      dynp.restoreState(active, std::move(stats));
-    }
-    report.replans = static_cast<std::size_t>(r.u64());
-    report.tuningSteps = static_cast<std::size_t>(r.u64());
-    report.degradedSteps = static_cast<std::size_t>(r.u64());
-    report.completed.resize(r.u32());
-    for (CompletedJob& c : report.completed) {
-      c.job = takeJob(r);
-      c.start = r.i64();
-      c.end = r.i64();
-    }
-    report.switches.resize(r.u32());
-    for (PolicySwitch& s : report.switches) {
-      s.time = r.i64();
-      s.from = takePolicy(r);
-      s.to = takePolicy(r);
-    }
-    const std::uint32_t nRunning = r.u32();
-    for (std::uint32_t i = 0; i < nRunning; ++i) {
-      RunningEntry entry;
-      entry.job = takeJob(r);
-      entry.start = r.i64();
-      entry.actualEnd = r.i64();
-      entry.estimatedEnd = r.i64();
-      pushRunning(running, entry);
-    }
-    waiting.resize(r.u32());
-    for (WaitingEntry& e : waiting) {
-      e.job = takeJob(r);
-      e.plannedStart = r.i64();
-    }
-    report.snapshots.clear();
-    const std::uint32_t nSnapshots = r.u32();
-    report.snapshots.reserve(nSnapshots);
-    for (std::uint32_t i = 0; i < nSnapshots; ++i) {
-      report.snapshots.push_back(takeSnapshot(r));
-    }
-    DYNSCHED_CHECK_MSG(submitIdx <= trace.size(),
-                       "sim checkpoint submit cursor out of range");
-  };
-
-  if (journaled) {
-    const std::uint64_t fingerprint =
-        simFingerprint(machine_, options_, trace);
-    util::PayloadWriter meta;
-    meta.u64(fingerprint);
-    meta.u64(trace.size());
-    meta.u32(static_cast<std::uint32_t>(machine_.nodes));
-    const std::string& path = options_.journal.path;
-    try {
-      util::OpenedJournal opened = util::openRunJournal(
-          options_.journal, "simulator", kSimMetaRecord, fingerprint, meta,
-          {{kSimMetaRecord, kSimMetaVersion},
-           {kSimCheckpointRecord, kSimCheckpointVersion}});
-      report.tailDropped = opened.replay.tailDropped;
-      report.tailWarning = opened.replay.tailWarning;
-      writer.emplace(std::move(opened.writer));
-      const std::string* checkpoint = nullptr;
-      for (const util::JournalRecord& record : opened.replay.records) {
-        // The last valid checkpoint wins; openRunJournal checked the meta
-        // record, and other types are additive extensions.
-        if (record.type == kSimCheckpointRecord) checkpoint = &record.payload;
-      }
-      if (checkpoint != nullptr) {
-        try {
-          restoreCheckpoint(*checkpoint);
-        } catch (const util::JournalError& e) {
-          throw analysis::AuditError("simulator journal '" + path + "': " +
-                                     e.what());
-        } catch (const CheckError& e) {
-          throw analysis::AuditError("simulator journal '" + path + "': " +
-                                     e.what());
-        }
-        report.resumed = true;
-        report.resumedAtEvent = eventCounter;
-        lastCheckpointEvent = eventCounter;
-        DYNSCHED_LOG(Info)
-            << "resumed simulation from checkpoint at event " << eventCounter
-            << " (" << report.completed.size()
-            << " jobs already completed)";
-      }
-    } catch (const util::JournalError& e) {
-      throw analysis::AuditError(e.what());
-    }
-    // From here on Ctrl-C must reach the checkpoint-and-flush path below.
-    util::installInterruptHandlers();
-  }
-  // --------------------------------------------------------------------------
 
   std::vector<core::RunningJob> runningJobs;  // historyNow's buffer
   const auto historyNow = [&](Time now) {
@@ -416,14 +135,12 @@ SimulationReport RmsSimulator::run(const std::vector<core::Job>& jobs) {
     core::Schedule schedule;
     const core::ReservationBook* book =
         haveReservations ? &reservations : nullptr;
-    if (options_.kind == SchedulerKind::DynP &&
-        (tuningEvent || options_.retuneOnJobEnd)) {
+    if (options_.kind == SchedulerKind::DynP && tuningEvent) {
       const long step = static_cast<long>(report.tuningSteps++);
       std::string failure;
       if (options_.faults.has_value() &&
           options_.faults->failsStep(step)) {
         failure = "injected step fault (" + options_.faults->describe() + ")";
-        DYNSCHED_CHECK_MSG(options_.failSoft, failure);
       } else {
         // A tuning step that dies (a policy schedule failing its audit, an
         // internal invariant tripping) degrades this one decision instead of
@@ -441,32 +158,25 @@ SimulationReport RmsSimulator::run(const std::vector<core::Job>& jobs) {
               waiting.size() >= options_.snapshots.minWaiting &&
               waiting.size() <= options_.snapshots.maxWaiting &&
               report.snapshots.size() < options_.snapshots.maxCount) {
-            ++eligibleSteps;
-            if ((eligibleSteps - 1) %
-                    std::max<std::size_t>(
-                        1, options_.snapshots.everyNth) == 0) {
-              StepSnapshot snap;
-              snap.time = now;
-              snap.history = history;
-              snap.waiting = waitingJobs;
-              snap.values = result.values;
-              snap.bestPolicy = result.chosenPolicy;
-              snap.bestValue = result.bestValue();
-              Time maxMakespan = now;
-              for (const core::Schedule& s : result.schedules) {
-                maxMakespan = std::max(maxMakespan, s.makespan(now));
-              }
-              snap.maxPolicyMakespan = maxMakespan;
-              snap.bestSchedule = result.chosenSchedule();
-              report.snapshots.push_back(std::move(snap));
+            StepSnapshot snap;
+            snap.time = now;
+            snap.history = history;
+            snap.waiting = waitingJobs;
+            snap.values = result.values;
+            snap.bestPolicy = result.chosenPolicy;
+            snap.bestValue = result.bestValue();
+            Time maxMakespan = now;
+            for (const core::Schedule& s : result.schedules) {
+              maxMakespan = std::max(maxMakespan, s.makespan(now));
             }
+            snap.maxPolicyMakespan = maxMakespan;
+            snap.bestSchedule = result.chosenSchedule();
+            report.snapshots.push_back(std::move(snap));
           }
           schedule = result.chosenSchedule();
         } catch (const analysis::AuditError& e) {
-          if (!options_.failSoft) throw;
           failure = e.what();
         } catch (const CheckError& e) {
-          if (!options_.failSoft) throw;
           failure = e.what();
         }
       }
@@ -476,29 +186,20 @@ SimulationReport RmsSimulator::run(const std::vector<core::Job>& jobs) {
             << "tuning step " << step << " at t=" << now
             << " degraded to policy " << core::policyName(dynp.activePolicy())
             << ": " << failure;
-        schedule = book != nullptr
-                       ? core::planSchedule(history, *book, waitingJobs,
-                                            dynp.activePolicy(), now)
-                       : core::planSchedule(history, waitingJobs,
-                                            dynp.activePolicy(), now);
+        schedule = core::planSchedule(history, waitingJobs,
+                                      dynp.activePolicy(), now, book);
       }
-    } else if (options_.kind == SchedulerKind::DynP) {
-      // Non-tuning replan (job end): keep the active policy.
-      schedule = book != nullptr
-                     ? core::planSchedule(history, *book, waitingJobs,
-                                          dynp.activePolicy(), now)
-                     : core::planSchedule(history, waitingJobs,
-                                          dynp.activePolicy(), now);
     } else if (options_.kind == SchedulerKind::EasyBackfill) {
       DYNSCHED_CHECK_MSG(!haveReservations,
                          "EASY mode does not support advance reservations");
       schedule = core::planEasyBackfill(history, waitingJobs, now);
     } else {
-      schedule = book != nullptr
-                     ? core::planSchedule(history, *book, waitingJobs,
-                                          fixedPolicy, now)
-                     : core::planSchedule(history, waitingJobs, fixedPolicy,
-                                          now);
+      // A fixed policy, or dynP replanning after a job end with the policy
+      // its last tuning step chose.
+      const core::PolicyKind policy = options_.kind == SchedulerKind::DynP
+                                          ? dynp.activePolicy()
+                                          : options_.fixedPolicy;
+      schedule = core::planSchedule(history, waitingJobs, policy, now, book);
     }
 
     // The schedule the simulator will act on — audited here so fixed-policy,
@@ -527,27 +228,6 @@ SimulationReport RmsSimulator::run(const std::vector<core::Job>& jobs) {
 
   const Time kNone = kTimeInfinity;
   while (submitIdx < trace.size() || !running.empty() || !waiting.empty()) {
-    if (journaled) {
-      if (util::interruptRequested()) {
-        // Degrade the interrupt to "checkpoint, flush, return partial
-        // report" — a resumed run continues from exactly this state.
-        writeCheckpoint();
-        writer->flush();
-        report.interrupted = true;
-        util::clearInterrupt();
-        DYNSCHED_LOG(Warn)
-            << "simulation interrupted at event " << eventCounter
-            << "; state checkpointed to '" << options_.journal.path
-            << "' — resume to continue";
-        break;
-      }
-      if (options_.journal.checkpointEvery > 0 &&
-          eventCounter > lastCheckpointEvent &&
-          eventCounter % options_.journal.checkpointEvery == 0) {
-        writeCheckpoint();
-        lastCheckpointEvent = eventCounter;
-      }
-    }
     const Time tSubmit =
         submitIdx < trace.size() ? trace[submitIdx].submit : kNone;
     const Time tEnd = !running.empty() ? running.front().actualEnd : kNone;
@@ -568,7 +248,6 @@ SimulationReport RmsSimulator::run(const std::vector<core::Job>& jobs) {
         report.completed.push_back(CompletedJob{r.job, r.start, r.actualEnd});
       }
       replan(now, /*tuningEvent=*/false);
-      ++eventCounter;
       continue;
     }
     if (tSubmit == now) {
@@ -576,7 +255,6 @@ SimulationReport RmsSimulator::run(const std::vector<core::Job>& jobs) {
       waiting.push_back(WaitingEntry{trace[submitIdx]});
       ++submitIdx;
       replan(now, /*tuningEvent=*/true);
-      ++eventCounter;
       continue;
     }
     // Start every job whose planned start has arrived.
@@ -594,14 +272,6 @@ SimulationReport RmsSimulator::run(const std::vector<core::Job>& jobs) {
       }
     }
     DYNSCHED_CHECK(startedAny);
-    ++eventCounter;
-  }
-
-  if (journaled && !report.interrupted) {
-    // A finished journal ends with a checkpoint of the final state, so a
-    // (redundant) resume of a completed run replays straight to the end.
-    writeCheckpoint();
-    writer->flush();
   }
 
   if (!report.completed.empty()) {

@@ -5,12 +5,13 @@
 // replans at every submission and whenever a job finishes earlier than its
 // estimate (estimates drive planning, actual runtimes drive execution).
 // Under the DynP scheduler mode every submission triggers a self-tuning step
-// ("self-tuning was invoked" at every job submission, paper Section 4), and
-// the simulator can capture a StepSnapshot of each step — the quasi-offline
-// scheduling instance the ILP study solves.
+// ("self-tuning was invoked" at every job submission, paper Section 4); a
+// replan after a job end keeps the active policy, and a tuning step that
+// fails is planned with the active policy too (SimulationReport::
+// degradedSteps). The simulator can capture a StepSnapshot of each step —
+// the quasi-offline scheduling instance the ILP study solves.
 #pragma once
 
-#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -20,7 +21,6 @@
 #include "dynsched/core/metrics.hpp"
 #include "dynsched/core/planner.hpp"
 #include "dynsched/util/budget.hpp"
-#include "dynsched/util/journal.hpp"
 
 namespace dynsched::sim {
 
@@ -37,7 +37,6 @@ struct SnapshotOptions {
   bool enabled = false;
   std::size_t minWaiting = 2;    ///< skip trivial steps
   std::size_t maxWaiting = 200;  ///< skip huge steps (ILP memory)
-  std::size_t everyNth = 1;      ///< keep every n-th eligible step
   std::size_t maxCount = 10000;  ///< stop capturing after this many
 };
 
@@ -66,30 +65,12 @@ struct SimOptions {
   /// maintenance windows or externally granted reservations). Jobs plan
   /// around them; a reservation that does not fit aborts the run.
   std::vector<core::Reservation> reservations;
-  /// Re-run the self-tuning decision when jobs end early, not only on
-  /// submission (the paper tunes on submission; this is an extension knob).
-  bool retuneOnJobEnd = false;
   SnapshotOptions snapshots;
-  /// Degrade a failed self-tuning step (AuditError / CheckError / injected
-  /// fault) to a plan under the currently active policy and keep simulating,
-  /// instead of aborting the whole run. The degradation is counted in
-  /// SimulationReport::degradedSteps. false: the error propagates.
-  bool failSoft = true;
   /// Deterministic fault plan applied to the *simulator's* tuning steps
   /// (fail-at-step only). Unlike tip::supervisedBestSchedule this is never
   /// read from DYNSCHED_FAULTS — a study process with env faults set must
   /// still be able to simulate cleanly to capture its snapshots.
   std::optional<util::FaultPlan> faults;
-  /// Crash-safety journal: with `journal.path` set the simulator writes a
-  /// meta record (config + trace fingerprint) and a full state checkpoint
-  /// every `journal.checkpointEvery` processed events — the event clock,
-  /// submit cursor, running/waiting sets, dynP policy state, and everything
-  /// already reported (completed jobs, switches, captured snapshots). With
-  /// `journal.resume` run() restarts from the last valid checkpoint
-  /// (util::openRunJournal) instead of from the first submission; the
-  /// deterministic event loop then reproduces the uninterrupted run exactly
-  /// (wall clock aside).
-  util::RunJournalOptions journal;
 };
 
 /// A finished job with its observed timing.
@@ -116,20 +97,11 @@ struct SimulationReport {
   Time simulatedSpan = 0;     ///< first submit .. last completion
   std::size_t replans = 0;
   std::size_t tuningSteps = 0;    ///< self-tuning decisions attempted
-  /// Tuning steps that failed and were degraded to the active policy
-  /// (SimOptions::failSoft); always 0 on a healthy run.
+  /// Tuning steps that failed (an AuditError, a CheckError or an injected
+  /// fault) and were planned with the active policy instead; always 0 on a
+  /// healthy run.
   std::size_t degradedSteps = 0;
   double wallSeconds = 0;
-  /// SIGINT/SIGTERM stopped the run early (journaled runs only): the state
-  /// was checkpointed and the journal flushed before returning this partial
-  /// report — resume continues from here.
-  bool interrupted = false;
-  /// This run restarted from a journal checkpoint (events replayed: the
-  /// event-counter value of that checkpoint).
-  bool resumed = false;
-  std::uint64_t resumedAtEvent = 0;
-  bool tailDropped = false;   ///< the journal had a torn/corrupt tail
-  std::string tailWarning;    ///< structured description of that tail
 
   /// Metrics over *actual* execution (observed starts/ends, actual runtime
   /// as the slowdown denominator).
@@ -142,22 +114,12 @@ struct SimulationReport {
   std::string summary(NodeCount machineSize) const;
 };
 
-/// Simulator-journal record types (namespaced 10..19) and their current
-/// schema versions (see DESIGN.md, journal format policy).
-inline constexpr std::uint16_t kSimMetaRecord = 10;
-inline constexpr std::uint16_t kSimCheckpointRecord = 11;
-inline constexpr std::uint16_t kSimMetaVersion = 1;
-inline constexpr std::uint16_t kSimCheckpointVersion = 1;
-
 class RmsSimulator {
  public:
   RmsSimulator(core::Machine machine, SimOptions options);
 
   /// Simulates the full trace (jobs need not be sorted; they are processed
   /// in submit order). Returns the report; the simulator can be reused.
-  /// Honours SimOptions::journal (checkpointing, resume, SIGINT/SIGTERM
-  /// degradation to "checkpoint, flush, return partial report"); a journal
-  /// of another run or of a newer build throws analysis::AuditError.
   SimulationReport run(const std::vector<core::Job>& jobs);
 
  private:

@@ -2,13 +2,13 @@
 //
 // For the quasi-offline instances, any schedule is dominated by the
 // earliest-fit placement of some job order (insert jobs by ascending start;
-// see exact.hpp), so searching the n! orders finds the true optimum of the
-// width-weighted response time at full second precision — no time-indexed
-// grid, no time-scaling. This solver searches that order space with DFS,
-// an admissible per-job earliest-fit lower bound, symmetry breaking among
-// identical jobs, and a policy-schedule incumbent. It cross-validates the
-// time-indexed MIP (dynsched::mip) and handles mid-size instances (~12-18
-// jobs) that exhaustive enumeration cannot.
+// see tests/support/exact_oracle.hpp), so searching the n! orders finds the
+// true optimum of the width-weighted response time at full second precision
+// — no time-indexed grid, no time-scaling. This solver searches that order
+// space with DFS, an admissible per-job earliest-fit lower bound, symmetry
+// breaking among identical jobs, and a policy-schedule incumbent. It
+// cross-validates the time-indexed MIP (dynsched::mip) and handles mid-size
+// instances (~12-18 jobs) that exhaustive enumeration cannot.
 #pragma once
 
 #include "dynsched/core/schedule.hpp"

@@ -1,9 +1,9 @@
 // Crash-safe run journal: append-only, checksummed, length-prefixed binary
 // records with torn-tail tolerance.
 //
-// A long study, simulation or server writes one record per unit of
-// completed work (the simulator: periodic checkpoints of its state) so that
-// a crash, OOM-kill, or Ctrl-C loses at most the step that was in flight.
+// A long study or a server writes one record per unit of completed work (a
+// Table 1 row, an answer) so that a crash, OOM-kill, or Ctrl-C loses at most
+// the step that was in flight.
 // The format is built for exact resume:
 //
 //   file   = header record*
@@ -65,17 +65,13 @@ std::uint64_t fnv1a64(const void* data, std::size_t size,
 /// (the target is left untouched and the temp file is removed).
 void atomicWriteFile(const std::string& path, std::string_view contents);
 
-/// Journaling knobs threaded through StudyOptions / SimOptions /
-/// ServiceOptions.
+/// Journaling knobs threaded through StudyOptions and ServiceOptions.
 struct RunJournalOptions {
   /// Journal file path; empty disables journaling entirely.
   std::string path;
   /// Replay an existing journal at `path` before doing new work; a missing
   /// file falls back to a fresh run (so `--resume` is safe on first launch).
   bool resume = false;
-  /// Simulator only: write a state checkpoint record every this many
-  /// processed events. 0 disables periodic checkpoints.
-  std::size_t checkpointEvery = 16;
 
   bool enabled() const { return !path.empty(); }
 };
@@ -205,8 +201,8 @@ struct OpenedJournal {
   JournalWriter writer;
 };
 
-/// The one open/resume protocol of every journal owner (study, simulator,
-/// server); the owner only parses its own payloads from `replay.records`.
+/// The one open/resume protocol of every journal owner (study, server); the
+/// owner only parses its own payloads from `replay.records`.
 ///
 /// With `options.resume` and an existing file: reads it once and logs a
 /// torn tail. Throws JournalError, naming `owner`, when the first record is

@@ -6,10 +6,12 @@
 #include "dynsched/tip/tim_model.hpp"
 #include "dynsched/analysis/audit.hpp"
 #include "dynsched/analysis/schedule_validator.hpp"
+#include "dynsched/core/audit_hook.hpp"
 #include "dynsched/core/dynp.hpp"
 #include "dynsched/core/planner.hpp"
 #include "dynsched/sim/simulator.hpp"
-#include "dynsched/tip/exact.hpp"
+#include "dynsched/util/alloc_tracker.hpp"
+#include "support/exact_oracle.hpp"
 
 namespace dynsched::analysis {
 namespace {
@@ -170,6 +172,23 @@ TEST(AuditGate, DisabledAuditIsSilent) {
   broken.add(makeJob(1, 500, 2, 100), 0);  // pre-submit start
   EXPECT_NO_THROW(auditSchedule("test.site", broken, history, 0));
   EXPECT_EQ(auditStats().audited, 0u);
+}
+
+TEST(AuditGate, DisabledHookWithExpectationDoesNotAllocate) {
+  if (!util::allocTrackingEnabled()) {
+    GTEST_SKIP() << "needs a DYNSCHED_ALLOC_TRACK=ON build";
+  }
+  ScopedAudit audit(false);
+  const auto history = core::MachineHistory::empty(core::Machine{8}, 0);
+  const std::vector<core::Job> jobs = {makeJob(1, 0, 4, 100)};
+  const core::Schedule schedule =
+      core::planSchedule(history, jobs, core::PolicyKind::Fcfs, 0);
+  // The call dynP's self-tuning step makes for every candidate schedule.
+  const core::MetricExpectation expected{core::MetricKind::SldWA, 1.0};
+  util::resetAllocStats();
+  core::auditScheduleHook("test.site", schedule, history, 0, nullptr,
+                          &expected);
+  EXPECT_EQ(util::allocStats().allocCount, 0u);
 }
 
 TEST(AuditGate, EnabledAuditThrowsWithSiteAndCounts) {

@@ -5,10 +5,10 @@
 
 #include "dynsched/tip/tim_model.hpp"
 #include "dynsched/core/planner.hpp"
-#include "dynsched/tip/exact.hpp"
 #include "dynsched/tip/order_bnb.hpp"
 #include "dynsched/tip/study.hpp"
 #include "dynsched/util/rng.hpp"
+#include "support/exact_oracle.hpp"
 
 namespace dynsched::tip {
 namespace {

@@ -84,12 +84,12 @@ TEST(Planner, PlansAroundReservation) {
   ASSERT_TRUE(book.admit(history, {99, 100, 100, 10}, 0));
   const std::vector<Job> waiting = {makeJob(1, 50, 10, 80)};
   const Schedule s =
-      planSchedule(history, book, waiting, PolicyKind::Fcfs, 50);
+      planSchedule(history, waiting, PolicyKind::Fcfs, 50, &book);
   EXPECT_EQ(s.find(1)->start, 200);
   // A short job fits in front of the reservation.
   const std::vector<Job> shortJob = {makeJob(2, 50, 10, 50)};
   const Schedule s2 =
-      planSchedule(history, book, shortJob, PolicyKind::Fcfs, 50);
+      planSchedule(history, shortJob, PolicyKind::Fcfs, 50, &book);
   EXPECT_EQ(s2.find(2)->start, 50);
 }
 
@@ -99,7 +99,7 @@ TEST(Planner, PartialWidthReservationLeavesRoom) {
   ASSERT_TRUE(book.admit(history, {99, 0, 1000, 6}, 0));
   const std::vector<Job> waiting = {makeJob(1, 0, 4, 100),
                                     makeJob(2, 0, 5, 100)};
-  const Schedule s = planSchedule(history, book, waiting, PolicyKind::Fcfs, 0);
+  const Schedule s = planSchedule(history, waiting, PolicyKind::Fcfs, 0, &book);
   EXPECT_EQ(s.find(1)->start, 0);      // 4 <= 10-6 free
   EXPECT_EQ(s.find(2)->start, 1000);   // 5 > 4 free until the window ends
 }

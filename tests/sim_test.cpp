@@ -2,18 +2,13 @@
 // early-completion replanning, policy switching, snapshot capture.
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <fstream>
 #include <set>
-#include <sstream>
 
 #include <gtest/gtest.h>
 
-#include "dynsched/analysis/audit.hpp"
 #include "dynsched/sim/simulator.hpp"
 #include "dynsched/trace/filters.hpp"
 #include "dynsched/trace/synthetic.hpp"
-#include "dynsched/util/error.hpp"
 #include "dynsched/util/journal.hpp"
 #include "dynsched/util/rng.hpp"
 
@@ -159,23 +154,12 @@ TEST(Simulator, SnapshotsCaptureQuasiOfflineInstances) {
   }
 }
 
-TEST(Simulator, SnapshotSamplingRespectsEveryNthAndMaxCount) {
+TEST(Simulator, SnapshotSamplingRespectsMaxCount) {
   const auto trace = trace::ctcModel().generate(300, 41);
-  SimOptions base;
-  base.kind = SchedulerKind::DynP;
-  base.snapshots.enabled = true;
-  base.snapshots.minWaiting = 1;
-  RmsSimulator simAll(core::Machine{430}, base);
-  const std::size_t all = simAll.run(core::fromSwf(trace)).snapshots.size();
-
-  SimOptions sampled = base;
-  sampled.snapshots.everyNth = 4;
-  RmsSimulator simSampled(core::Machine{430}, sampled);
-  const std::size_t sampledCount =
-      simSampled.run(core::fromSwf(trace)).snapshots.size();
-  EXPECT_LE(sampledCount, all / 4 + 1);
-
-  SimOptions capped = base;
+  SimOptions capped;
+  capped.kind = SchedulerKind::DynP;
+  capped.snapshots.enabled = true;
+  capped.snapshots.minWaiting = 1;
   capped.snapshots.maxCount = 5;
   RmsSimulator simCapped(core::Machine{430}, capped);
   EXPECT_EQ(simCapped.run(core::fromSwf(trace)).snapshots.size(), 5u);
@@ -372,16 +356,6 @@ TEST(Simulator, DynPDecisionsMatchRecordedDigest) {
       << " waiting jobs on average";
 }
 
-TEST(Simulator, DynPNeverLosesJobsUnderRetuneOnEnd) {
-  const auto trace = trace::ctcModel().generate(120, 61);
-  SimOptions options;
-  options.kind = SchedulerKind::DynP;
-  options.retuneOnJobEnd = true;
-  RmsSimulator sim(core::Machine{430}, options);
-  EXPECT_EQ(sim.run(core::fromSwf(trace)).completed.size(), 120u);
-}
-
-
 TEST(Simulator, FailSoftCompletesTraceUnderStepFaults) {
   // Every tuning step is declared failed; the simulator must degrade each
   // one to the active policy, finish the whole trace, and account for the
@@ -416,18 +390,6 @@ TEST(Simulator, SingleStepFaultDegradesExactlyOne) {
   EXPECT_EQ(report.degradedSteps, 1u);
 }
 
-TEST(Simulator, FailHardPropagatesStepFault) {
-  const auto trace = trace::ctcModel().generate(40, 64);
-  SimOptions options;
-  options.kind = SchedulerKind::DynP;
-  options.failSoft = false;
-  util::FaultPlan faults;
-  faults.failAtStep = util::FaultPlan::kEveryStep;
-  options.faults = faults;
-  RmsSimulator sim(core::Machine{430}, options);
-  EXPECT_THROW(sim.run(core::fromSwf(trace)), CheckError);
-}
-
 TEST(Simulator, CleanRunReportsNoDegradation) {
   const auto trace = trace::ctcModel().generate(80, 65);
   SimOptions options;
@@ -437,142 +399,6 @@ TEST(Simulator, CleanRunReportsNoDegradation) {
   EXPECT_GT(report.tuningSteps, 0u);
   EXPECT_EQ(report.degradedSteps, 0u);
   EXPECT_EQ(report.summary(430).find("degraded="), std::string::npos);
-}
-
-// --- Crash-safety: checkpoints, torn journal, resume -----------------------
-
-std::string simJournalPath(const std::string& name) {
-  return testing::TempDir() + "/" + name;
-}
-
-/// Deterministic fields of a report, for run-vs-resume comparison
-/// (wallSeconds and the resume bookkeeping are intentionally absent).
-std::string deterministicDigest(const SimulationReport& r) {
-  std::ostringstream os;
-  os << r.summary(430) << "\nreplans=" << r.replans
-     << " tuning=" << r.tuningSteps << " degraded=" << r.degradedSteps
-     << " snapshots=" << r.snapshots.size()
-     << " dynpSteps=" << r.dynpStats.steps
-     << " dynpSwitches=" << r.dynpStats.switches << "\n";
-  for (const CompletedJob& c : r.completed) {
-    os << c.job.id << ":" << c.start << "-" << c.end << "\n";
-  }
-  for (const PolicySwitch& s : r.switches) {
-    os << s.time << ":" << core::policyName(s.from) << ">"
-       << core::policyName(s.to) << "\n";
-  }
-  for (const StepSnapshot& snap : r.snapshots) {
-    os << "snap " << snap.time << " " << snap.waiting.size() << " "
-       << core::policyName(snap.bestPolicy) << " " << snap.bestValue << " "
-       << snap.maxPolicyMakespan << " " << snap.bestSchedule.size() << "\n";
-  }
-  return os.str();
-}
-
-SimOptions journaledDynP(const std::string& path, bool resume = false) {
-  SimOptions options;
-  options.kind = SchedulerKind::DynP;
-  options.snapshots.enabled = true;
-  options.snapshots.minWaiting = 2;
-  options.journal.path = path;
-  options.journal.resume = resume;
-  options.journal.checkpointEvery = 8;
-  return options;
-}
-
-TEST(SimulatorJournal, JournaledRunMatchesPlainRun) {
-  const auto jobs = core::fromSwf(trace::ctcModel().generate(150, 41));
-  SimOptions plain = journaledDynP("");
-  RmsSimulator ref(core::Machine{430}, plain);
-  const auto reference = ref.run(jobs);
-
-  const std::string path = simJournalPath("sim-plain.jrnl");
-  std::remove(path.c_str());
-  RmsSimulator sim(core::Machine{430}, journaledDynP(path));
-  const auto journaled = sim.run(jobs);
-  EXPECT_EQ(deterministicDigest(journaled), deterministicDigest(reference));
-  EXPECT_FALSE(journaled.interrupted);
-  EXPECT_FALSE(journaled.resumed);
-  std::remove(path.c_str());
-}
-
-TEST(SimulatorJournal, TornJournalResumesFromLastCheckpoint) {
-  const auto jobs = core::fromSwf(trace::ctcModel().generate(150, 42));
-  SimOptions plain = journaledDynP("");
-  RmsSimulator ref(core::Machine{430}, plain);
-  const auto reference = ref.run(jobs);
-
-  const std::string path = simJournalPath("sim-torn.jrnl");
-  std::remove(path.c_str());
-  RmsSimulator sim(core::Machine{430}, journaledDynP(path));
-  sim.run(jobs);
-
-  // Simulate a crash: chop the journal mid-record, losing the final
-  // checkpoints. Resume must restart from the last surviving one and
-  // re-simulate to an identical end state.
-  std::string bytes;
-  {
-    std::ifstream in(path, std::ios::binary);
-    bytes.assign(std::istreambuf_iterator<char>(in),
-                 std::istreambuf_iterator<char>());
-  }
-  ASSERT_GT(bytes.size(), 600u);
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(bytes.data(),
-              static_cast<std::streamsize>(bytes.size() / 2));
-  }
-
-  RmsSimulator again(core::Machine{430}, journaledDynP(path, true));
-  const auto resumed = again.run(jobs);
-  EXPECT_TRUE(resumed.resumed || resumed.tailDropped);
-  EXPECT_EQ(deterministicDigest(resumed), deterministicDigest(reference));
-  std::remove(path.c_str());
-}
-
-TEST(SimulatorJournal, ResumeOfCompletedRunReplaysToTheEnd) {
-  const auto jobs = core::fromSwf(trace::ctcModel().generate(120, 43));
-  const std::string path = simJournalPath("sim-done.jrnl");
-  std::remove(path.c_str());
-  RmsSimulator sim(core::Machine{430}, journaledDynP(path));
-  const auto reference = sim.run(jobs);
-
-  RmsSimulator again(core::Machine{430}, journaledDynP(path, true));
-  const auto resumed = again.run(jobs);
-  EXPECT_TRUE(resumed.resumed);
-  EXPECT_EQ(deterministicDigest(resumed), deterministicDigest(reference));
-  std::remove(path.c_str());
-}
-
-TEST(SimulatorJournal, ForeignJournalFailsStructurally) {
-  const auto jobs = core::fromSwf(trace::ctcModel().generate(100, 44));
-  const std::string path = simJournalPath("sim-foreign.jrnl");
-  std::remove(path.c_str());
-  RmsSimulator sim(core::Machine{430}, journaledDynP(path));
-  sim.run(jobs);
-
-  // Same options, different trace → different fingerprint → refuse.
-  const auto other = core::fromSwf(trace::ctcModel().generate(100, 45));
-  RmsSimulator again(core::Machine{430}, journaledDynP(path, true));
-  EXPECT_THROW(again.run(other), analysis::AuditError);
-  std::remove(path.c_str());
-}
-
-TEST(SimulatorJournal, HeaderOnlyJournalResumesAsAFreshRun) {
-  const auto jobs = core::fromSwf(trace::ctcModel().generate(100, 46));
-  RmsSimulator ref(core::Machine{430}, journaledDynP(""));
-  const auto reference = ref.run(jobs);
-
-  // A process killed between create()'s header fsync and the meta record
-  // leaves a bare header behind; resuming it must start the run afresh.
-  const std::string path = simJournalPath("sim-bare.jrnl");
-  util::JournalWriter::create(path);
-  RmsSimulator again(core::Machine{430}, journaledDynP(path, true));
-  const auto resumed = again.run(jobs);
-  EXPECT_FALSE(resumed.resumed);
-  EXPECT_FALSE(resumed.tailDropped);
-  EXPECT_EQ(deterministicDigest(resumed), deterministicDigest(reference));
-  std::remove(path.c_str());
 }
 
 }  // namespace

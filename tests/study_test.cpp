@@ -11,7 +11,6 @@
 #include "dynsched/tip/tim_model.hpp"
 #include "dynsched/analysis/audit.hpp"
 #include "dynsched/sim/simulator.hpp"
-#include "dynsched/tip/exact.hpp"
 #include "dynsched/tip/study.hpp"
 #include "dynsched/trace/synthetic.hpp"
 

@@ -7,11 +7,11 @@
 
 #include "dynsched/core/planner.hpp"
 #include "dynsched/tip/compaction.hpp"
-#include "dynsched/tip/exact.hpp"
 #include "dynsched/tip/study.hpp"
 #include "dynsched/tip/tim_model.hpp"
 #include "dynsched/tip/time_scaling.hpp"
 #include "dynsched/util/rng.hpp"
+#include "support/exact_oracle.hpp"
 
 namespace dynsched::tip {
 namespace {
