@@ -52,12 +52,11 @@ void resetAuditStats() {
 void auditSchedule(const char* site, const core::Schedule& schedule,
                    const core::MachineHistory& history, Time now,
                    const core::ReservationBook* reservations,
-                   const std::vector<MetricExpectation>& expected) {
+                   const core::MetricExpectation* expected) {
   if (!auditEnabled()) return;
   g_audited.fetch_add(1, std::memory_order_relaxed);
-  const ScheduleValidator validator;
-  const ValidationReport report =
-      validator.validate(schedule, history, now, reservations, expected);
+  const ValidationReport report = ScheduleValidator().validate(
+      schedule, history, now, reservations, expected);
   if (report.ok()) return;
   g_failed.fetch_add(1, std::memory_order_relaxed);
   std::ostringstream os;
@@ -78,12 +77,10 @@ void auditScheduleHook(const char* site, const Schedule& schedule,
                        const MachineHistory& history, Time now,
                        const ReservationBook* reservations,
                        const MetricExpectation* expected) {
-  // The validator's vector is built only once the audit is known to run.
+  // Returns before any work: a disabled audit costs dynP's step one branch.
   if (!analysis::auditEnabled()) return;
-  std::vector<MetricExpectation> expectations;
-  if (expected != nullptr) expectations.push_back(*expected);
   analysis::auditSchedule(site, schedule, history, now, reservations,
-                          expectations);
+                          expected);
 }
 
 }  // namespace dynsched::core

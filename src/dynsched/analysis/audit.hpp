@@ -15,11 +15,12 @@
 #include "dynsched/analysis/schedule_validator.hpp"
 
 // The core types appear here only by reference/pointer; the definitions
-// arrive via schedule_validator.hpp.
+// arrive via schedule_validator.hpp (MetricExpectation via core/metrics.hpp).
 namespace dynsched::core {
 class MachineHistory;
 class ReservationBook;
 class Schedule;
+struct MetricExpectation;
 }  // namespace dynsched::core
 
 namespace dynsched::analysis {
@@ -43,12 +44,13 @@ struct AuditStats {
 AuditStats auditStats();
 void resetAuditStats();
 
-/// Validates `schedule` when auditing is enabled; throws AuditError naming
-/// `site` on any violation. No-op while audits are disabled.
+/// Validates `schedule` when auditing is enabled, checking the metric value
+/// in `expected` too when it is non-null; throws AuditError naming `site` on
+/// any violation. No-op while audits are disabled.
 void auditSchedule(const char* site, const core::Schedule& schedule,
                    const core::MachineHistory& history, Time now,
                    const core::ReservationBook* reservations = nullptr,
-                   const std::vector<MetricExpectation>& expected = {});
+                   const core::MetricExpectation* expected = nullptr);
 
 }  // namespace dynsched::analysis
 

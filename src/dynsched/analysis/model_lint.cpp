@@ -9,7 +9,7 @@
 
 #include "dynsched/analysis/audit.hpp"
 #include "dynsched/lp/model.hpp"
-#include "dynsched/mip/lint_hook.hpp"
+#include "dynsched/mip/mip.hpp"
 #include "dynsched/util/logging.hpp"
 
 namespace dynsched::analysis {
@@ -20,18 +20,24 @@ std::atomic<std::uint64_t> gModelsLinted{0};
 std::atomic<std::uint64_t> gFindings{0};
 std::atomic<std::uint64_t> gFailed{0};
 
-/// Accumulates findings with the per-kind cap and warning promotion.
+/// Warn when maxAbsCoefficient / minAbsCoefficient exceeds this.
+constexpr double kConditioningRatio = 1e8;
+/// Warn when |c_j| exceeds this (2^53: doubles stop being exact integers,
+/// breaking MipOptions::objectiveIsIntegral bound rounding).
+constexpr double kExactIntegerLimit = 9007199254740992.0;
+/// Findings of one kind beyond this cap are counted, not materialized.
+constexpr std::size_t kMaxFindingsPerKind = 16;
+/// Slack of the row-activity and empty-row comparisons.
+constexpr double kTolerance = 1e-9;
+
+/// Accumulates findings with the per-kind cap.
 class Linter {
  public:
-  Linter(LintReport& report, const LintOptions& options)
-      : report_(report), options_(options) {}
+  explicit Linter(LintReport& report) : report_(report) {}
 
   void add(LintSeverity severity, LintKind kind, int row, int col,
            std::string message) {
-    if (severity == LintSeverity::Warn && options_.promoteWarnings) {
-      severity = LintSeverity::Error;
-    }
-    if (perKind_[kind]++ >= options_.maxFindingsPerKind) {
+    if (perKind_[kind]++ >= kMaxFindingsPerKind) {
       ++report_.suppressedFindings;
       return;
     }
@@ -39,11 +45,8 @@ class Linter {
         LintFinding{severity, kind, row, col, std::move(message)});
   }
 
-  const LintOptions& options() const { return options_; }
-
  private:
   LintReport& report_;
-  const LintOptions& options_;
   std::map<LintKind, std::size_t> perKind_;
 };
 
@@ -65,7 +68,6 @@ std::string rowLabel(const lp::LpModel& model, int r) {
 void lintLp(const lp::LpModel& model, Linter& lint, LintModelStats& stats) {
   const int n = model.numVariables();
   const int m = model.numRows();
-  const double tol = lint.options().tolerance;
   stats.rows = m;
   stats.columns = n;
   stats.nonZeros = model.numNonZeros();
@@ -122,7 +124,7 @@ void lintLp(const lp::LpModel& model, Linter& lint, LintModelStats& stats) {
                    std::to_string(lb) + ", " + std::to_string(ub) + "]");
     }
     if (rowEntries[static_cast<std::size_t>(r)].empty()) {
-      const bool zeroOutside = lb > tol || ub < -tol;
+      const bool zeroOutside = lb > kTolerance || ub < -kTolerance;
       lint.add(LintSeverity::Warn, LintKind::EmptyRow, r, -1,
                rowLabel(model, r) +
                    (zeroOutside ? " is empty and trivially infeasible"
@@ -209,12 +211,12 @@ void lintLp(const lp::LpModel& model, Linter& lint, LintModelStats& stats) {
       const double cmin = std::min(0.0, e.value);
       const double cmax = std::max(0.0, e.value);
       // Achievable activity range of the row with x_j pinned.
-      if (lo[r] - cmin + e.value > model.rowUpper(e.row) + tol ||
-          hi[r] - cmax + e.value < model.rowLower(e.row) - tol) {
+      if (lo[r] - cmin + e.value > model.rowUpper(e.row) + kTolerance ||
+          hi[r] - cmax + e.value < model.rowLower(e.row) - kTolerance) {
         canBeOne = false;
       }
-      if (lo[r] - cmin > model.rowUpper(e.row) + tol ||
-          hi[r] - cmax < model.rowLower(e.row) - tol) {
+      if (lo[r] - cmin > model.rowUpper(e.row) + kTolerance ||
+          hi[r] - cmax < model.rowLower(e.row) - kTolerance) {
         canBeZero = false;
       }
     }
@@ -231,14 +233,14 @@ void lintLp(const lp::LpModel& model, Linter& lint, LintModelStats& stats) {
   accumulate(effLb, effUb);
   for (int r = 0; r < m; ++r) {
     if (rowEntries[static_cast<std::size_t>(r)].empty()) {
-      if (model.rowLower(r) > tol || model.rowUpper(r) < -tol) {
+      if (model.rowLower(r) > kTolerance || model.rowUpper(r) < -kTolerance) {
         lint.add(LintSeverity::Warn, LintKind::RowNeverSatisfiable, r, -1,
                  rowLabel(model, r) + " cannot be satisfied (empty row)");
       }
       continue;
     }
-    if (lo[static_cast<std::size_t>(r)] > model.rowUpper(r) + tol ||
-        hi[static_cast<std::size_t>(r)] < model.rowLower(r) - tol) {
+    if (lo[static_cast<std::size_t>(r)] > model.rowUpper(r) + kTolerance ||
+        hi[static_cast<std::size_t>(r)] < model.rowLower(r) - kTolerance) {
       lint.add(LintSeverity::Warn, LintKind::RowNeverSatisfiable, r, -1,
                rowLabel(model, r) +
                    " cannot be satisfied by any point within bounds");
@@ -248,14 +250,14 @@ void lintLp(const lp::LpModel& model, Linter& lint, LintModelStats& stats) {
   // Numerical smells.
   if (stats.minAbsCoefficient > 0 &&
       stats.maxAbsCoefficient / stats.minAbsCoefficient >
-          lint.options().conditioningRatio) {
+          kConditioningRatio) {
     std::ostringstream os;
     os << "coefficient range [" << stats.minAbsCoefficient << ", "
        << stats.maxAbsCoefficient << "] spans more than "
-       << lint.options().conditioningRatio << "; expect conditioning trouble";
+       << kConditioningRatio << "; expect conditioning trouble";
     lint.add(LintSeverity::Warn, LintKind::CoefficientRange, -1, -1, os.str());
   }
-  if (stats.maxAbsObjective > lint.options().exactIntegerLimit) {
+  if (stats.maxAbsObjective > kExactIntegerLimit) {
     std::ostringstream os;
     os << "objective coefficient magnitude " << stats.maxAbsObjective
        << " exceeds the exact-integer double range; integral-objective "
@@ -323,7 +325,6 @@ const char* lintKindName(LintKind kind) {
     case LintKind::NoFeasibleStart: return "no-feasible-start";
     case LintKind::InfeasibleStartSlot: return "infeasible-start-slot";
     case LintKind::InstanceInvalid: return "instance-invalid";
-    case LintKind::SubmitAfterNow: return "submit-after-now";
   }
   return "?";
 }
@@ -363,23 +364,23 @@ std::string LintReport::summary() const {
   return os.str();
 }
 
-LintReport lintModel(const lp::LpModel& model, const LintOptions& options) {
+LintReport lintModel(const lp::LpModel& model) {
   LintReport report;
-  Linter lint(report, options);
+  Linter lint(report);
   lintLp(model, lint, report.stats);
   return report;
 }
 
-LintReport lintModel(const mip::MipModel& model, const LintOptions& options) {
+LintReport lintModel(const mip::MipModel& model) {
   LintReport report;
-  Linter lint(report, options);
+  Linter lint(report);
   lintMip(model, lint, report.stats);
   return report;
 }
 
-LintReport lintModel(const TipModelView& view, const LintOptions& options) {
+LintReport lintModel(const TipModelView& view) {
   LintReport report;
-  Linter lint(report, options);
+  Linter lint(report);
   if (view.model == nullptr || view.colJob == nullptr ||
       view.colSlot == nullptr || view.jobColumns == nullptr) {
     lint.add(LintSeverity::Error, LintKind::MappingInconsistency, -1, -1,
@@ -577,56 +578,6 @@ LintReport lintModel(const TipModelView& view, const LintOptions& options) {
   return report;
 }
 
-LintReport lintModel(const TipInstanceView& view, const LintOptions& options) {
-  LintReport report;
-  Linter lint(report, options);
-  const auto invalid = [&](const std::string& message) {
-    lint.add(LintSeverity::Error, LintKind::InstanceInvalid, -1, -1, message);
-  };
-  if (view.machineSize <= 0) {
-    invalid("machine size " + std::to_string(view.machineSize) +
-            " is not positive");
-  }
-  if (view.timeScale <= 0) {
-    invalid("time scale " + std::to_string(view.timeScale) +
-            " is not positive");
-  }
-  // Horizon 0 means "unset": model-free paths (exact enumeration) never use
-  // it. A set horizon must still lie beyond the decision instant.
-  if (view.horizon != 0 && view.horizon <= view.now) {
-    invalid("horizon " + std::to_string(view.horizon) +
-            " does not exceed now " + std::to_string(view.now));
-  }
-  if (view.historyStart > view.now) {
-    invalid("machine history starts after the decision instant");
-  }
-  if (view.jobWidth.empty()) invalid("instance has no waiting jobs");
-  if (view.jobWidth.size() != view.jobEstimate.size() ||
-      view.jobWidth.size() != view.jobSubmit.size()) {
-    invalid("per-job arrays have mismatched lengths");
-    return report;
-  }
-  for (std::size_t i = 0; i < view.jobWidth.size(); ++i) {
-    if (view.jobWidth[i] <= 0 || view.jobWidth[i] > view.machineSize) {
-      invalid("job " + std::to_string(i) + " width " +
-              std::to_string(view.jobWidth[i]) + " outside (0, " +
-              std::to_string(view.machineSize) + "]");
-    }
-    if (view.jobEstimate[i] <= 0) {
-      invalid("job " + std::to_string(i) + " estimate " +
-              std::to_string(view.jobEstimate[i]) + " is not positive");
-    }
-    if (view.jobSubmit[i] > view.now) {
-      lint.add(LintSeverity::Warn, LintKind::SubmitAfterNow, -1,
-               static_cast<int>(i),
-               "job " + std::to_string(i) + " submitted at " +
-                   std::to_string(view.jobSubmit[i]) +
-                   ", after the decision instant " + std::to_string(view.now));
-    }
-  }
-  return report;
-}
-
 void enforceLint(const char* site, const LintReport& report) {
   gModelsLinted.fetch_add(1, std::memory_order_relaxed);
   gFindings.fetch_add(report.findings.size(), std::memory_order_relaxed);
@@ -657,13 +608,3 @@ void resetModelLintStats() {
 }
 
 }  // namespace dynsched::analysis
-
-namespace dynsched::mip {
-
-// Dependency-inverted seam declared in mip/lint_hook.hpp (see
-// core/audit_hook.hpp for the pattern).
-void lintModelHook(const char* site, const MipModel& model) {
-  analysis::enforceLint(site, analysis::lintModel(model));
-}
-
-}  // namespace dynsched::mip

@@ -19,23 +19,27 @@
 //
 // Enforcement follows the audit layer: under an enabled DYNSCHED_AUDIT,
 // error findings throw AuditError naming the producing site; otherwise the
-// report is logged. Every solve entry point (tip::buildModel,
-// mip::solveMip) lints first, and so does the enumeration oracle the tests
-// keep in tests/support/exact_oracle.cpp.
+// report is logged. tip::buildModel lints every time-indexed model it
+// builds, once, with the TipModelView pass (which runs the generic LP and
+// MIP passes too); every model a production path solves comes from there.
+// mip::solveMip does not lint, so models built elsewhere (tests, benches)
+// are solved unlinted.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "dynsched/mip/mip.hpp"
 #include "dynsched/util/types.hpp"
 
-// The LP overload only reads the model by reference; the complete type
-// arrives via mip.hpp (a MipModel embeds its LpModel).
+// The models are read by reference or pointer only; model_lint.cpp includes
+// their definitions.
 namespace dynsched::lp {
 class LpModel;
 }  // namespace dynsched::lp
+namespace dynsched::mip {
+struct MipModel;
+}  // namespace dynsched::mip
 
 namespace dynsched::analysis {
 
@@ -62,9 +66,7 @@ enum class LintKind {
   AssignmentRowMismatch,  ///< Eq. 3 row is not an exactly-one row
   NoFeasibleStart,       ///< a job has no capacity-feasible start slot
   InfeasibleStartSlot,   ///< an x_it column that can never take value 1
-  // Instance-level (exact enumeration path).
-  InstanceInvalid,  ///< widths/durations/horizon/scale out of range
-  SubmitAfterNow,   ///< waiting job submitted in the future
+  InstanceInvalid,       ///< machine size, job width or duration out of range
 };
 
 const char* lintSeverityName(LintSeverity severity);
@@ -89,22 +91,9 @@ struct LintModelStats {
   double maxAbsObjective = 0;
 };
 
-struct LintOptions {
-  /// Warn when maxAbsCoefficient / minAbsCoefficient exceeds this.
-  double conditioningRatio = 1e8;
-  /// Warn when |c_j| exceeds this (2^53: doubles stop being exact integers,
-  /// breaking MipOptions::objectiveIsIntegral bound rounding).
-  double exactIntegerLimit = 9007199254740992.0;
-  /// Findings of one kind beyond this cap are counted, not materialized.
-  std::size_t maxFindingsPerKind = 16;
-  /// Escalates Warn findings to Error (strict gates and tests).
-  bool promoteWarnings = false;
-  double tolerance = 1e-9;
-};
-
 struct LintReport {
   std::vector<LintFinding> findings;
-  std::size_t suppressedFindings = 0;  ///< dropped beyond maxFindingsPerKind
+  std::size_t suppressedFindings = 0;  ///< dropped beyond 16 of one kind
   LintModelStats stats;
 
   bool hasErrors() const;
@@ -133,34 +122,16 @@ struct TipModelView {
   const std::vector<std::vector<int>>* jobColumns = nullptr;
 };
 
-/// Plain-data view of a TipInstance for solve paths that never build an LP
-/// (exact enumeration).
-struct TipInstanceView {
-  Time now = 0;
-  Time horizon = 0;  ///< 0 = unset (enumeration paths never use it)
-  Time timeScale = 0;
-  Time historyStart = 0;
-  NodeCount machineSize = 0;
-  std::vector<NodeCount> jobWidth;
-  std::vector<Time> jobEstimate;
-  std::vector<Time> jobSubmit;
-};
-
 /// Generic LP lint: structure, bounds propagation, duplicates, conditioning.
-LintReport lintModel(const lp::LpModel& model, const LintOptions& options = {});
+LintReport lintModel(const lp::LpModel& model);
 
 /// MIP lint: the LP pass plus integrality-specific checks.
-LintReport lintModel(const mip::MipModel& model,
-                     const LintOptions& options = {});
+LintReport lintModel(const mip::MipModel& model);
 
 /// Time-indexed model lint: the MIP pass plus Eq. 1-5 / grid / horizon
 /// cross-checks. Feasibility findings are errors here — makeGrid guarantees
 /// an FCFS placement fits, so an unschedulable job is a builder bug.
-LintReport lintModel(const TipModelView& view, const LintOptions& options = {});
-
-/// Instance lint for model-free solve paths.
-LintReport lintModel(const TipInstanceView& view,
-                     const LintOptions& options = {});
+LintReport lintModel(const TipModelView& view);
 
 /// Acts on a report: error findings throw AuditError naming `site` while
 /// auditing is enabled and are logged at Warn otherwise; clean-but-noisy

@@ -5,11 +5,15 @@
 #include <sstream>
 #include <unordered_set>
 
+#include "dynsched/core/metrics.hpp"
 #include "dynsched/core/resource_profile.hpp"
 
 namespace dynsched::analysis {
 
 namespace {
+
+/// Relative tolerance for metric recomputation (absolute below 1.0).
+constexpr double kMetricTolerance = 1e-9;
 
 void addViolation(ValidationReport& report, std::string invariant,
                   const std::ostringstream& detail) {
@@ -29,7 +33,7 @@ std::string ValidationReport::toString() const {
 ValidationReport ScheduleValidator::validate(
     const core::Schedule& schedule, const core::MachineHistory& history,
     Time now, const core::ReservationBook* reservations,
-    const std::vector<MetricExpectation>& expected) const {
+    const core::MetricExpectation* expected) const {
   ValidationReport report;
   const NodeCount machineSize = history.machineSize();
 
@@ -127,19 +131,18 @@ ValidationReport ScheduleValidator::validate(
     }
   }
 
-  // Invariant 5 — metric agreement: recompute each reported value from the
+  // Invariant 5 — metric agreement: recompute the reported value from the
   // schedule itself; disagreement beyond tolerance means the producer's
   // evaluation drifted from what it actually planned.
-  const core::MetricEvaluator evaluator(now, machineSize);
-  for (const MetricExpectation& exp : expected) {
-    const double recomputed = evaluator.evaluate(schedule, exp.metric);
+  if (expected != nullptr) {
+    const double recomputed = core::MetricEvaluator(now, machineSize)
+                                  .evaluate(schedule, expected->metric);
     const double scale = std::max(1.0, std::max(std::fabs(recomputed),
-                                                std::fabs(exp.reported)));
-    if (std::fabs(recomputed - exp.reported) >
-        options_.metricTolerance * scale) {
+                                                std::fabs(expected->reported)));
+    if (std::fabs(recomputed - expected->reported) > kMetricTolerance * scale) {
       std::ostringstream os;
-      os << core::metricName(exp.metric) << " reported as " << exp.reported
-         << " but recomputes to " << recomputed;
+      os << core::metricName(expected->metric) << " reported as "
+         << expected->reported << " but recomputes to " << recomputed;
       addViolation(report, "metric", os);
     }
   }

@@ -16,9 +16,12 @@
 #include <vector>
 
 #include "dynsched/core/machine_history.hpp"
-#include "dynsched/core/metrics.hpp"
 #include "dynsched/core/reservation.hpp"
 #include "dynsched/core/schedule.hpp"
+
+namespace dynsched::core {
+struct MetricExpectation;  // read through a pointer; see core/metrics.hpp
+}  // namespace dynsched::core
 
 namespace dynsched::analysis {
 
@@ -36,34 +39,19 @@ struct ValidationReport {
   std::string toString() const;
 };
 
-/// A metric value the producer reported for the schedule; the validator
-/// recomputes it independently and flags disagreement beyond tolerance.
-/// The struct itself lives in core (core/metrics.hpp) so producers can
-/// state expectations without including analysis headers.
-using MetricExpectation = core::MetricExpectation;
-
 class ScheduleValidator {
  public:
-  struct Options {
-    /// Relative tolerance for metric recomputation (absolute below 1.0).
-    double metricTolerance = 1e-9;
-  };
-
-  ScheduleValidator() = default;
-  explicit ScheduleValidator(Options options) : options_(options) {}
-
   /// Checks every invariant and returns all violations (never throws on a
   /// bad schedule — producers decide how to react). `now` is the decision
   /// instant the schedule was planned at; `reservations` (optional) are the
   /// admitted advance reservations the plan had to respect; `expected`
-  /// (optional) are producer-reported metric values to cross-check.
+  /// (optional) is a producer-reported metric value, which the validator
+  /// recomputes independently and flags on disagreement beyond a relative
+  /// tolerance of 1e-9 (absolute below 1.0).
   ValidationReport validate(
       const core::Schedule& schedule, const core::MachineHistory& history,
       Time now, const core::ReservationBook* reservations = nullptr,
-      const std::vector<MetricExpectation>& expected = {}) const;
-
- private:
-  Options options_;
+      const core::MetricExpectation* expected = nullptr) const;
 };
 
 }  // namespace dynsched::analysis

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <sstream>
 
-#include "dynsched/core/resource_profile.hpp"
 #include "dynsched/util/error.hpp"
 
 namespace dynsched::core {
@@ -25,48 +24,6 @@ Time Schedule::makespan(Time fallback) const {
   Time result = fallback;
   for (const ScheduledJob& e : entries_) result = std::max(result, e.end());
   return result;
-}
-
-Time Schedule::earliestStart() const {
-  DYNSCHED_CHECK(!entries_.empty());
-  Time result = entries_.front().start;
-  for (const ScheduledJob& e : entries_) result = std::min(result, e.start);
-  return result;
-}
-
-std::optional<std::string> Schedule::validate(
-    const MachineHistory& history) const {
-  ResourceProfile profile(history);
-  // Replay placements in start order; reserve() throws on capacity overflow,
-  // which we translate into a validation message.
-  std::vector<const ScheduledJob*> order;
-  order.reserve(entries_.size());
-  for (const ScheduledJob& e : entries_) order.push_back(&e);
-  std::sort(order.begin(), order.end(),
-            [](const ScheduledJob* a, const ScheduledJob* b) {
-              return a->start < b->start;
-            });
-  for (const ScheduledJob* e : order) {
-    std::ostringstream os;
-    if (e->start < e->job.submit) {
-      os << "job " << e->job.id << " starts at " << e->start
-         << " before its submit time " << e->job.submit;
-      return os.str();
-    }
-    if (e->start < history.startTime()) {
-      os << "job " << e->job.id << " starts at " << e->start
-         << " before the history start " << history.startTime();
-      return os.str();
-    }
-    if (!profile.fits(e->start, e->duration, e->job.width)) {
-      os << "job " << e->job.id << " (width " << e->job.width
-         << ") overflows free capacity at [" << e->start << ", " << e->end()
-         << ")";
-      return os.str();
-    }
-    profile.reserve(e->start, e->duration, e->job.width);
-  }
-  return std::nullopt;
 }
 
 std::string Schedule::toString() const {

@@ -3,16 +3,14 @@
 // "For all waiting jobs the scheduler computes a full schedule, which
 // contains planned start times for every waiting job in the system"
 // (paper Section 2). A Schedule is the unit that metrics evaluate and the
-// decider compares; its validator re-plays all placements against the
-// machine history to prove capacity feasibility.
+// decider compares; analysis::ScheduleValidator re-plays its placements
+// against the machine history to prove them feasible.
 #pragma once
 
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "dynsched/core/job.hpp"
-#include "dynsched/core/machine_history.hpp"
 
 namespace dynsched::core {
 
@@ -46,15 +44,6 @@ class Schedule {
 
   /// Latest end over all entries; `fallback` for an empty schedule.
   Time makespan(Time fallback = 0) const;
-
-  /// Earliest start over all entries.
-  Time earliestStart() const;
-
-  /// Capacity- and release-date feasibility against `history`:
-  /// every start >= max(job.submit, history start), and at no time does the
-  /// cumulative width of scheduled jobs exceed the free capacity.
-  /// Returns an explanatory message on failure.
-  std::optional<std::string> validate(const MachineHistory& history) const;
 
   std::string toString() const;
 

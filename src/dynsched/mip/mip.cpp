@@ -7,7 +7,6 @@
 #include <sstream>
 
 #include "dynsched/lp/simplex.hpp"
-#include "dynsched/mip/lint_hook.hpp"
 #include "dynsched/util/error.hpp"
 #include "dynsched/util/logging.hpp"
 #include "dynsched/util/timer.hpp"
@@ -19,13 +18,6 @@ int MipModel::addIntegerVariable(double lb, double ub, double objective,
   const int col = lp.addVariable(lb, ub, objective, std::move(name));
   integer.resize(static_cast<std::size_t>(lp.numVariables()), false);
   integer[static_cast<std::size_t>(col)] = true;
-  return col;
-}
-
-int MipModel::addContinuousVariable(double lb, double ub, double objective,
-                                    std::string name) {
-  const int col = lp.addVariable(lb, ub, objective, std::move(name));
-  integer.resize(static_cast<std::size_t>(lp.numVariables()), false);
   return col;
 }
 
@@ -527,7 +519,6 @@ MipResult BranchAndBound::run() {
 }  // namespace
 
 MipResult solveMip(const MipModel& model, const MipOptions& options) {
-  DYNSCHED_MIP_LINT_MODEL("mip.solveMip", model);
   BranchAndBound solver(model, options);
   return solver.run();
 }

@@ -32,9 +32,6 @@ struct MipModel {
   /// Adds an integer variable to `lp` and marks it.
   int addIntegerVariable(double lb, double ub, double objective,
                          std::string name = {});
-  /// Adds a continuous variable.
-  int addContinuousVariable(double lb, double ub, double objective,
-                            std::string name = {});
 };
 
 enum class MipStatus {

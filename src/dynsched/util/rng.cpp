@@ -74,10 +74,6 @@ double Rng::normal(double mean, double stddev) {
   return mean + stddev * r * std::cos(2.0 * std::numbers::pi * u2);
 }
 
-double Rng::logNormal(double mu, double sigma) {
-  return std::exp(normal(mu, sigma));
-}
-
 double Rng::logUniform(double lo, double hi) {
   DYNSCHED_CHECK(lo > 0 && lo <= hi);
   return std::exp(uniform(std::log(lo), std::log(hi)));

@@ -40,9 +40,6 @@ class Rng {
   /// is simpler when every call consumes a fixed number of uniforms).
   double normal(double mean, double stddev);
 
-  /// Log-normal: exp(Normal(mu, sigma)).
-  double logNormal(double mu, double sigma);
-
   /// Log-uniform over [lo, hi], lo > 0: exp(Uniform(ln lo, ln hi)).
   double logUniform(double lo, double hi);
 

@@ -152,14 +152,16 @@ TEST(ScheduleValidator, FlagsMetricDisagreement) {
   const double truth =
       evaluator.evaluate(schedule, core::MetricKind::AvgResponseTime);
 
-  const ValidationReport good = ScheduleValidator().validate(
-      schedule, history, 0, nullptr,
-      {MetricExpectation{core::MetricKind::AvgResponseTime, truth}});
+  const core::MetricExpectation right{core::MetricKind::AvgResponseTime,
+                                      truth};
+  const ValidationReport good =
+      ScheduleValidator().validate(schedule, history, 0, nullptr, &right);
   EXPECT_TRUE(good.ok()) << good.toString();
 
-  const ValidationReport bad = ScheduleValidator().validate(
-      schedule, history, 0, nullptr,
-      {MetricExpectation{core::MetricKind::AvgResponseTime, truth + 1.0}});
+  const core::MetricExpectation wrong{core::MetricKind::AvgResponseTime,
+                                      truth + 1.0};
+  const ValidationReport bad =
+      ScheduleValidator().validate(schedule, history, 0, nullptr, &wrong);
   ASSERT_FALSE(bad.ok());
   EXPECT_TRUE(hasViolation(bad, "metric")) << bad.toString();
 }

@@ -3,6 +3,7 @@
 // self-tuning step tests.
 #include <gtest/gtest.h>
 
+#include "dynsched/analysis/schedule_validator.hpp"
 #include "dynsched/core/decider.hpp"
 #include "dynsched/core/dynp.hpp"
 
@@ -129,7 +130,10 @@ TEST(DynP, StepComputesAllThreeSchedules) {
   const SelfTuningResult result = scheduler.selfTuningStep(history, waiting, 0);
   for (const PolicyKind policy : kAllPolicies) {
     EXPECT_EQ(result.scheduleFor(policy).size(), waiting.size());
-    EXPECT_EQ(result.scheduleFor(policy).validate(history), std::nullopt);
+    EXPECT_TRUE(analysis::ScheduleValidator()
+                    .validate(result.scheduleFor(policy), history,
+                              history.startTime())
+                    .ok());
   }
   // Full-machine jobs run sequentially: SJF clearly wins on SLDwA.
   EXPECT_EQ(result.chosenPolicy, PolicyKind::Sjf);
@@ -195,7 +199,10 @@ TEST(DynP, ExtendedPolicyFamily) {
   EXPECT_EQ(result.schedules.size(), 5u);
   EXPECT_EQ(result.values.size(), 5u);
   for (const PolicyKind policy : kExtendedPolicies) {
-    EXPECT_EQ(result.scheduleFor(policy).validate(history), std::nullopt);
+    EXPECT_TRUE(analysis::ScheduleValidator()
+                    .validate(result.scheduleFor(policy), history,
+                              history.startTime())
+                    .ok());
   }
   EXPECT_EQ(scheduler.stats().chosenCount.size(), 5u);
 }

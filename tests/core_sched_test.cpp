@@ -2,6 +2,7 @@
 // tests.
 #include <gtest/gtest.h>
 
+#include "dynsched/analysis/schedule_validator.hpp"
 #include "dynsched/core/metrics.hpp"
 #include "dynsched/core/planner.hpp"
 #include "dynsched/core/policies.hpp"
@@ -99,7 +100,9 @@ TEST(Planner, ImplicitBackfilling) {
   const Schedule s = planSchedule(history, jobs, PolicyKind::Fcfs, 0);
   EXPECT_EQ(s.find(1)->start, 1000);
   EXPECT_EQ(s.find(2)->start, 0);
-  EXPECT_EQ(s.validate(history), std::nullopt);
+  EXPECT_TRUE(analysis::ScheduleValidator()
+                  .validate(s, history, history.startTime())
+                  .ok());
 }
 
 TEST(Planner, BackfillDoesNotDelayEarlierJobs) {
@@ -114,7 +117,9 @@ TEST(Planner, BackfillDoesNotDelayEarlierJobs) {
   // Job 2 (50 wide) cannot run beside the running job (40 free) nor beside
   // job 1 (30 free): it starts when job 1 ends.
   EXPECT_EQ(s.find(2)->start, 1800);
-  EXPECT_EQ(s.validate(history), std::nullopt);
+  EXPECT_TRUE(analysis::ScheduleValidator()
+                  .validate(s, history, history.startTime())
+                  .ok());
 }
 
 TEST(Planner, RespectsSubmitTimes) {
@@ -146,24 +151,9 @@ TEST(Planner, EasyBackfillHoldsHeadReservation) {
   // 2 finishes at 501 there are again 40 free nodes, so its own reservation
   // lands there without delaying the head.
   EXPECT_EQ(s.find(3)->start, 501);
-  EXPECT_EQ(s.validate(history), std::nullopt);
-}
-
-TEST(Schedule, ValidateCatchesCapacityOverflow) {
-  const auto history = MachineHistory::empty(Machine{10}, 0);
-  Schedule s;
-  s.add(makeJob(1, 0, 6, 100), 0);
-  s.add(makeJob(2, 0, 6, 100), 50);  // overlaps job 1: 12 > 10 nodes
-  const auto error = s.validate(history);
-  ASSERT_TRUE(error.has_value());
-  EXPECT_NE(error->find("overflows"), std::string::npos);
-}
-
-TEST(Schedule, ValidateCatchesEarlyStart) {
-  const auto history = MachineHistory::empty(Machine{10}, 0);
-  Schedule s;
-  s.add(makeJob(1, 200, 1, 100), 100);  // starts before submission
-  ASSERT_TRUE(s.validate(history).has_value());
+  EXPECT_TRUE(analysis::ScheduleValidator()
+                  .validate(s, history, history.startTime())
+                  .ok());
 }
 
 TEST(Schedule, MakespanAndLookup) {
@@ -171,7 +161,6 @@ TEST(Schedule, MakespanAndLookup) {
   s.add(makeJob(1, 0, 1, 100), 0);
   s.add(makeJob(2, 0, 1, 50), 200);
   EXPECT_EQ(s.makespan(), 250);
-  EXPECT_EQ(s.earliestStart(), 0);
   EXPECT_NE(s.find(2), nullptr);
   EXPECT_EQ(s.find(42), nullptr);
 }
@@ -329,12 +318,14 @@ TEST_P(PlannerRandomTest, SchedulesAlwaysValid) {
   for (const PolicyKind policy : kAllPolicies) {
     const Schedule s = planSchedule(history, jobs, policy, 0);
     EXPECT_EQ(s.size(), jobs.size());
-    const auto error = s.validate(history);
-    EXPECT_EQ(error, std::nullopt)
-        << policyName(policy) << ": " << error.value_or("");
+    const analysis::ValidationReport report =
+        analysis::ScheduleValidator().validate(s, history, history.startTime());
+    EXPECT_TRUE(report.ok()) << policyName(policy) << ": " << report.toString();
   }
   const Schedule easy = planEasyBackfill(history, jobs, 0);
-  EXPECT_EQ(easy.validate(history), std::nullopt);
+  EXPECT_TRUE(analysis::ScheduleValidator()
+                  .validate(easy, history, history.startTime())
+                  .ok());
 }
 
 TEST_P(PlannerRandomTest, SjfOptimalForUnitWidthTotalResponse) {

@@ -8,7 +8,11 @@
 
 #include "dynsched/analysis/audit.hpp"
 #include "dynsched/analysis/model_lint.hpp"
+#include "dynsched/sim/simulator.hpp"
+#include "dynsched/tip/request_adapter.hpp"
+#include "dynsched/tip/supervised.hpp"
 #include "dynsched/tip/tim_model.hpp"
+#include "dynsched/util/budget.hpp"
 #include "dynsched/util/rng.hpp"
 
 namespace dynsched::analysis {
@@ -35,17 +39,6 @@ core::Job makeJob(JobId id, Time submit, NodeCount width, Time estimate) {
   j.estimate = estimate;
   j.actualRuntime = estimate;
   return j;
-}
-
-tip::TipInstance makeInstance(NodeCount machine, std::vector<core::Job> jobs,
-                              Time now, Time horizon, Time scale) {
-  tip::TipInstance inst;
-  inst.history = core::MachineHistory::empty(core::Machine{machine}, now);
-  inst.jobs = std::move(jobs);
-  inst.now = now;
-  inst.horizon = horizon;
-  inst.timeScale = scale;
-  return inst;
 }
 
 /// A hand-built single-job two-slot time-indexed model plus its view, so
@@ -192,16 +185,14 @@ TEST(ModelLint, IntegerBoundsNotIntegralWarning) {
 
 TEST(ModelLint, FindingsPerKindAreCapped) {
   lp::LpModel m;
-  LintOptions options;
-  options.maxFindingsPerKind = 4;
-  for (int j = 0; j < 10; ++j) {
+  for (int j = 0; j < 26; ++j) {
     std::string name = "u";
     name += std::to_string(j);
     m.addVariable(0, 1, 0.0, std::move(name));
   }
-  const LintReport report = lintModel(m, options);
-  EXPECT_EQ(report.count(LintKind::EmptyColumn), 4u);
-  EXPECT_EQ(report.suppressedFindings, 6u);
+  const LintReport report = lintModel(m);
+  EXPECT_EQ(report.count(LintKind::EmptyColumn), 16u);
+  EXPECT_EQ(report.suppressedFindings, 10u);
 }
 
 // ---------------------------------------------------------------------------
@@ -272,35 +263,6 @@ TEST(ModelLint, ColumnMappingInconsistencyDetected) {
 }
 
 // ---------------------------------------------------------------------------
-// Instance view findings.
-// ---------------------------------------------------------------------------
-
-TEST(ModelLint, InstanceInvalidDetected) {
-  TipInstanceView view;
-  view.machineSize = 4;
-  view.timeScale = 1;
-  view.jobWidth = {9};  // wider than the machine
-  view.jobEstimate = {10};
-  view.jobSubmit = {0};
-  const LintReport report = lintModel(view);
-  EXPECT_EQ(report.count(LintKind::InstanceInvalid), 1u) << report.summary();
-  EXPECT_TRUE(report.hasErrors());
-}
-
-TEST(ModelLint, SubmitAfterNowIsWarning) {
-  TipInstanceView view;
-  view.now = 100;
-  view.machineSize = 4;
-  view.timeScale = 1;
-  view.jobWidth = {2};
-  view.jobEstimate = {10};
-  view.jobSubmit = {150};
-  const LintReport report = lintModel(view);
-  EXPECT_EQ(report.count(LintKind::SubmitAfterNow), 1u) << report.summary();
-  EXPECT_FALSE(report.hasErrors());
-}
-
-// ---------------------------------------------------------------------------
 // Enforcement.
 // ---------------------------------------------------------------------------
 
@@ -323,28 +285,17 @@ TEST(ModelLint, EnforceOnlyLogsWhileUnaudited) {
   EXPECT_EQ(modelLintStats().failed, 1u);
 }
 
-TEST(ModelLint, PromoteWarningsRejectsDuplicateRow) {
-  ScopedAudit audit(true);
-  lp::LpModel m;
-  const int x = m.addVariable(0, 1, 1.0, "x");
-  m.addRow(-lp::kInf, 3.0, {{x, 2.0}}, "cap_a");
-  m.addRow(-lp::kInf, 3.0, {{x, 2.0}}, "cap_b");
-  LintOptions strict;
-  strict.promoteWarnings = true;
-  const LintReport report = lintModel(m, strict);
-  EXPECT_TRUE(report.hasErrors());
-  EXPECT_THROW(enforceLint("test.strict", report), AuditError);
-}
-
 #if defined(DYNSCHED_AUDIT_ENABLED) && DYNSCHED_AUDIT_ENABLED
 
-TEST(ModelLintWiring, SolveMipRejectsCorruptModel) {
-  ScopedAudit audit(true);
-  mip::MipModel m;
-  const int x = m.addIntegerVariable(
-      0, 1, std::numeric_limits<double>::quiet_NaN(), "x");
-  m.lp.addRow(-lp::kInf, 1.0, {{x, 1.0}}, "cap");
-  EXPECT_THROW(mip::solveMip(m), AuditError);
+tip::TipInstance makeInstance(NodeCount machine, std::vector<core::Job> jobs,
+                              Time now, Time horizon, Time scale) {
+  tip::TipInstance inst;
+  inst.history = core::MachineHistory::empty(core::Machine{machine}, now);
+  inst.jobs = std::move(jobs);
+  inst.now = now;
+  inst.horizon = horizon;
+  inst.timeScale = scale;
+  return inst;
 }
 
 TEST(ModelLintWiring, BuildModelLintsEveryTipModel) {
@@ -355,6 +306,35 @@ TEST(ModelLintWiring, BuildModelLintsEveryTipModel) {
   const tip::Grid grid = tip::makeGrid(inst);
   (void)tip::buildModel(inst, grid);
   EXPECT_GE(modelLintStats().modelsLinted, 1u);
+  EXPECT_EQ(modelLintStats().failed, 0u);
+}
+
+// buildModel lints each attempt's model; the solver must not lint it again.
+TEST(ModelLintWiring, SupervisedSolveLintsEachModelOnce) {
+  ScopedAudit audit(true);
+  const auto solve = [](const util::FaultPlan& faults) {
+    const sim::StepSnapshot snapshot = tip::makeRequestSnapshot(
+        core::MachineHistory::fromRunningJobs(core::Machine{32}, 0,
+                                              {core::RunningJob{99, 16, 900}}),
+        {makeJob(1, 0, 16, 600), makeJob(2, 0, 32, 300),
+         makeJob(3, 0, 8, 1200), makeJob(4, 0, 24, 450)},
+        0, core::MetricKind::SldWA);
+    tip::SupervisedOptions options;
+    options.forcedTimeScale = 60;
+    options.faults = faults;
+    resetModelLintStats();
+    return tip::supervisedBestSchedule(snapshot, options);
+  };
+
+  const tip::SupervisedResult clean = solve(util::FaultPlan{});
+  EXPECT_EQ(clean.rung, tip::SolveRung::Optimal) << clean.provenance;
+  EXPECT_EQ(modelLintStats().modelsLinted, 1u);
+
+  const tip::SupervisedResult retried =
+      solve(util::FaultPlan::parse("lp-numerical-failure=1"));
+  EXPECT_EQ(retried.rung, tip::SolveRung::CoarsenedRetry)
+      << retried.provenance;
+  EXPECT_EQ(modelLintStats().modelsLinted, 2u);
   EXPECT_EQ(modelLintStats().failed, 0u);
 }
 

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "dynsched/tip/tim_model.hpp"
+#include "dynsched/analysis/schedule_validator.hpp"
 #include "dynsched/core/planner.hpp"
 #include "dynsched/tip/order_bnb.hpp"
 #include "dynsched/tip/study.hpp"
@@ -72,7 +73,9 @@ TEST(OrderBnb, IncumbentNeverWorseThanPolicies) {
   options.maxNodes = 200;  // tiny search: incumbent still valid
   const OrderBnbResult r = solveByOrderBnb(inst, options);
   EXPECT_LE(r.objective, bestPolicy + 1e-9);
-  EXPECT_EQ(r.schedule.validate(inst.history), std::nullopt);
+  EXPECT_TRUE(analysis::ScheduleValidator()
+                  .validate(r.schedule, inst.history, inst.history.startTime())
+                  .ok());
 }
 
 TEST(OrderBnb, NodeLimitClearsOptimalFlag) {
@@ -92,7 +95,9 @@ TEST(OrderBnb, SolvesMidSizeInstances) {
   options.timeLimitSeconds = 60;
   const OrderBnbResult r = solveByOrderBnb(inst, options);
   EXPECT_TRUE(r.optimal);
-  EXPECT_EQ(r.schedule.validate(inst.history), std::nullopt);
+  EXPECT_TRUE(analysis::ScheduleValidator()
+                  .validate(r.schedule, inst.history, inst.history.startTime())
+                  .ok());
 }
 
 TEST(OrderBnb, AgreesWithTimeIndexedMipAtScaleOne) {
@@ -133,7 +138,9 @@ TEST_P(OrderBnbOracleTest, MatchesExhaustiveEnumeration) {
   const OrderBnbResult r = solveByOrderBnb(inst);
   ASSERT_TRUE(r.optimal) << "seed " << GetParam();
   EXPECT_NEAR(r.objective, oracleObjective, 1e-6) << "seed " << GetParam();
-  EXPECT_EQ(r.schedule.validate(inst.history), std::nullopt);
+  EXPECT_TRUE(analysis::ScheduleValidator()
+                  .validate(r.schedule, inst.history, inst.history.startTime())
+                  .ok());
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomInstances, OrderBnbOracleTest,
@@ -153,7 +160,9 @@ TEST(OrderBnb, CancelTokenStopsSearchWithFeasibleIncumbent) {
   EXPECT_FALSE(r.optimal);
   EXPECT_LE(r.nodes, 1);
   EXPECT_FALSE(r.schedule.empty());
-  EXPECT_EQ(r.schedule.validate(inst.history), std::nullopt);
+  EXPECT_TRUE(analysis::ScheduleValidator()
+                  .validate(r.schedule, inst.history, inst.history.startTime())
+                  .ok());
   EXPECT_EQ(token.reason(), util::CancelReason::Deadline);
 }
 
@@ -168,7 +177,9 @@ TEST(OrderBnb, NodeBudgetMatchesLocalNodeLimit) {
   EXPECT_FALSE(r.optimal);
   EXPECT_LE(r.nodes, 52);  // cap + the node that observed the cancel
   EXPECT_EQ(token.reason(), util::CancelReason::NodeLimit);
-  EXPECT_EQ(r.schedule.validate(inst.history), std::nullopt);
+  EXPECT_TRUE(analysis::ScheduleValidator()
+                  .validate(r.schedule, inst.history, inst.history.startTime())
+                  .ok());
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "dynsched/analysis/schedule_validator.hpp"
 #include "dynsched/sim/simulator.hpp"
 #include "dynsched/trace/filters.hpp"
 #include "dynsched/trace/synthetic.hpp"
@@ -144,7 +145,10 @@ TEST(Simulator, SnapshotsCaptureQuasiOfflineInstances) {
     EXPECT_EQ(snap.history.startTime(), snap.time);
     // The warm-start schedule covers exactly the waiting set and is valid.
     EXPECT_EQ(snap.bestSchedule.size(), snap.waiting.size());
-    EXPECT_EQ(snap.bestSchedule.validate(snap.history), std::nullopt);
+    EXPECT_TRUE(analysis::ScheduleValidator()
+                    .validate(snap.bestSchedule, snap.history,
+                              snap.history.startTime())
+                    .ok());
     EXPECT_GE(snap.maxPolicyMakespan, snap.bestSchedule.makespan(snap.time));
     EXPECT_GT(snap.accumulatedRuntime(), 0);
     // Every waiting job was submitted no later than the step time.

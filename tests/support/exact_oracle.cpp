@@ -4,7 +4,6 @@
 #include <numeric>
 
 #include "dynsched/analysis/audit.hpp"
-#include "dynsched/analysis/model_lint.hpp"
 #include "dynsched/core/planner.hpp"
 #include "dynsched/tip/tim_model.hpp"
 #include "dynsched/util/error.hpp"
@@ -14,26 +13,6 @@ namespace dynsched::tip {
 ExactResult exactBestSchedule(const TipInstance& instance,
                               core::MetricKind metric,
                               util::CancelToken* cancel) {
-#if defined(DYNSCHED_AUDIT_ENABLED) && DYNSCHED_AUDIT_ENABLED
-  {
-    analysis::TipInstanceView view;
-    view.now = instance.now;
-    view.horizon = instance.horizon;
-    view.timeScale = instance.timeScale;
-    view.historyStart = instance.history.startTime();
-    view.machineSize = instance.history.machineSize();
-    view.jobWidth.reserve(instance.jobs.size());
-    view.jobEstimate.reserve(instance.jobs.size());
-    view.jobSubmit.reserve(instance.jobs.size());
-    for (const core::Job& job : instance.jobs) {
-      view.jobWidth.push_back(job.width);
-      view.jobEstimate.push_back(job.estimate);
-      view.jobSubmit.push_back(job.submit);
-    }
-    analysis::enforceLint("tip.exactBestSchedule",
-                          analysis::lintModel(view));
-  }
-#endif
   const std::size_t n = instance.jobs.size();
   DYNSCHED_CHECK_MSG(n >= 1 && n <= 10,
                      "exact enumeration is limited to 10 jobs, got " << n);
@@ -69,10 +48,11 @@ ExactResult exactBestSchedule(const TipInstance& instance,
   // Audit the winner only: validating all n! candidates would dominate the
   // enumeration, and every candidate is built by the same placement kernel.
   if (haveBest) {
-    DYNSCHED_AUDIT_SCHEDULE(
-        "tip.exactBestSchedule", best.schedule, instance.history,
-        instance.now, nullptr,
-        {analysis::MetricExpectation{metric, best.value}});
+    [[maybe_unused]] const core::MetricExpectation expected{metric,
+                                                            best.value};
+    DYNSCHED_AUDIT_SCHEDULE("tip.exactBestSchedule", best.schedule,
+                            instance.history, instance.now, nullptr,
+                            &expected);
   }
   return best;
 }

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "dynsched/analysis/schedule_validator.hpp"
 #include "dynsched/core/planner.hpp"
 #include "dynsched/tip/compaction.hpp"
 #include "dynsched/tip/study.hpp"
@@ -245,7 +246,9 @@ TEST(Compaction, ValidatesAgainstHistory) {
   inst.horizon = 800;
   inst.timeScale = 60;
   const core::Schedule s = compactFromSlots(inst, {3, 0});
-  EXPECT_EQ(s.validate(inst.history), std::nullopt);
+  EXPECT_TRUE(analysis::ScheduleValidator()
+                  .validate(s, inst.history, inst.history.startTime())
+                  .ok());
   // Order: job2 (slot 0) then job1; job2 starts immediately at 50.
   EXPECT_EQ(s.find(2)->start, 50);
   EXPECT_EQ(s.find(1)->start, 300);
@@ -324,7 +327,9 @@ TEST_P(ScaleOneOptimalityTest, MipMatchesExhaustiveOracle) {
   // The compacted schedule achieves the ILP objective (scale 1 = no slack).
   const core::Schedule compacted =
       compactFromSlots(inst, model.startSlots(solved.x));
-  EXPECT_EQ(compacted.validate(inst.history), std::nullopt);
+  EXPECT_TRUE(analysis::ScheduleValidator()
+                  .validate(compacted, inst.history, inst.history.startTime())
+                  .ok());
   EXPECT_NEAR(core::MetricEvaluator::totalWeightedResponse(compacted),
               oracleObjective, 1e-6)
       << "seed " << param.seed;

@@ -138,7 +138,7 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  dynsched::lint::TreeLintOptions options;
+  dynsched::lint::LintPathsOptions options;
   if (!layersPath.empty()) {
     std::ifstream in(layersPath, std::ios::binary);
     if (!in) {

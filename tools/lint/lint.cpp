@@ -1015,11 +1015,11 @@ void collectFiles(const std::filesystem::path& root,
 }  // namespace
 
 LintResult lintPaths(const std::vector<std::string>& paths) {
-  return lintPaths(paths, TreeLintOptions{});
+  return lintPaths(paths, LintPathsOptions{});
 }
 
 LintResult lintPaths(const std::vector<std::string>& paths,
-                     const TreeLintOptions& options) {
+                     const LintPathsOptions& options) {
   LintResult result;
   std::vector<std::filesystem::path> files;
   for (const std::string& path : paths) {

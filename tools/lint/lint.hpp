@@ -175,7 +175,7 @@ std::string renderGraphJson(const ModuleGraph& graph);
 /// dashed = declared but currently unused.
 std::string renderGraphDot(const ModuleGraph& graph);
 
-struct TreeLintOptions {
+struct LintPathsOptions {
   /// layers.txt contents ("" = no layer gate).
   std::string layersText;
   /// When non-null, receives the resolved module graph.
@@ -187,7 +187,7 @@ struct TreeLintOptions {
 /// pass. Findings are sorted by file/line.
 LintResult lintPaths(const std::vector<std::string>& paths);
 LintResult lintPaths(const std::vector<std::string>& paths,
-                     const TreeLintOptions& options);
+                     const LintPathsOptions& options);
 
 /// "file:line:col: RULE: message" lines plus a summary tail.
 std::string renderText(const LintResult& result);
