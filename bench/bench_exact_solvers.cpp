@@ -42,6 +42,7 @@ struct StepRecord {
   double ilpSld = 0;
   double exactSld = 0;
   long ilpNodes = 0;
+  long ilpRefactorizations = 0;  ///< node-LP basis factorizations
   int lpRows = 0;
   int lpColumns = 0;
   long exactNodes = 0;
@@ -162,6 +163,7 @@ int main(int argc, char** argv) {
     record.ilpSld = row.ilpValue;
     record.exactSld = exactSld;
     record.ilpNodes = row.nodes;
+    record.ilpRefactorizations = row.refactorizations;
     record.lpRows = row.lpRows;
     record.lpColumns = row.lpColumns;
     record.exactNodes = exact.nodes;
@@ -193,11 +195,13 @@ int main(int argc, char** argv) {
     // The baseline comparator (scripts/bench_check.py) reads this. Totals
     // carry the regression gate; per-step rows are for diagnosing which
     // instance moved. The host block scopes the wall-clock comparison.
-    long ilpNodes = 0, exactNodes = 0, lpRowsTotal = 0, lpColsTotal = 0;
+    long ilpNodes = 0, ilpRefactorizations = 0, exactNodes = 0;
+    long lpRowsTotal = 0, lpColsTotal = 0;
     double ilpSeconds = 0, exactSeconds = 0;
     std::uint64_t allocCount = 0, allocBytes = 0, peakBytes = 0;
     for (const StepRecord& r : records) {
       ilpNodes += r.ilpNodes;
+      ilpRefactorizations += r.ilpRefactorizations;
       exactNodes += r.exactNodes;
       lpRowsTotal += r.lpRows;
       lpColsTotal += r.lpColumns;
@@ -231,6 +235,7 @@ int main(int argc, char** argv) {
            << ", \"ilpSld\": " << num(r.ilpSld)
            << ", \"exactSld\": " << num(r.exactSld)
            << ", \"ilpNodes\": " << r.ilpNodes
+           << ", \"ilpRefactorizations\": " << r.ilpRefactorizations
            << ", \"lpRows\": " << r.lpRows
            << ", \"lpColumns\": " << r.lpColumns
            << ", \"exactNodes\": " << r.exactNodes
@@ -244,6 +249,7 @@ int main(int argc, char** argv) {
     json << "\n  ],\n  \"totals\": {"
          << "\"steps\": " << records.size()
          << ", \"ilpNodes\": " << ilpNodes
+         << ", \"ilpRefactorizations\": " << ilpRefactorizations
          << ", \"exactNodes\": " << exactNodes
          << ", \"lpRows\": " << lpRowsTotal
          << ", \"lpColumns\": " << lpColsTotal

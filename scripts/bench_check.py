@@ -2,7 +2,7 @@
 """Compare a fresh bench_exact_solvers JSON report against the committed
 baseline (BENCH_exact.json) and fail on regressions.
 
-Usage: bench_check.py BASELINE CURRENT [--tolerance 0.20]
+Usage: bench_check.py BASELINE CURRENT [CURRENT...] [--tolerance 0.20]
                                        [--time-tolerance 0.50]
        bench_check.py --serve BASELINE CURRENT [--time-tolerance 0.50]
        bench_check.py --self-test
@@ -24,7 +24,9 @@ What is gated, and why:
     the baseline. For a pinned scenario and node cap these are
     bit-reproducible on every host, so any growth is a real algorithmic
     regression, not noise. Shrinking is reported as an improvement (rerun
-    the baseline to bank it), never failed.
+    the baseline to bank it), never failed. The node LPs' basis
+    factorizations (ilpRefactorizations) gate the same way whenever both
+    reports carry them.
   * Allocation counters (allocCount/allocBytes/peakBytes, schema v2) gate
     the same way when BOTH reports were produced with allocation tracking
     (allocTracking true). A baseline without them (schema v1) is accepted
@@ -36,6 +38,14 @@ What is gated, and why:
   * Wall-clock seconds are compared only when the host block (cpu count +
     compiler) matches the baseline's, with the looser --time-tolerance;
     cross-host timing comparisons are meaningless and are skipped loudly.
+
+Several CURRENT reports are replays of the same scenario. The wall-clock
+gate then takes the fastest replay's seconds (a shared host only ever slows
+a run down), the counter gates read the first, and the replays must agree
+on every deterministic counter and quality value — a counter that moves
+between identical runs is a bug, whatever the baseline says. peakBytes is
+left out of that agreement: it moves by a few bytes with the size of the
+process environment.
 
 The two reports must come from the same pinned scenario (config block);
 comparing different scenarios is a usage error (exit 2), not a pass. All
@@ -52,9 +62,15 @@ import json
 import sys
 
 COUNTERS = ("ilpNodes", "exactNodes", "lpRows", "lpColumns")
+# Gated like COUNTERS, but only when both reports carry them (a baseline
+# may predate them).
+OPTIONAL_COUNTERS = ("ilpRefactorizations",)
 ALLOC_COUNTERS = ("allocCount", "allocBytes", "peakBytes")
 VALUES = ("avgScaledLossPct", "avgTrueLossPct")
 SECONDS = ("ilpSeconds", "exactSeconds")
+# What replays of one scenario must reproduce exactly (see the docstring).
+REPLAY_INVARIANTS = (COUNTERS + OPTIONAL_COUNTERS + ("allocCount", "allocBytes")
+                     + VALUES)
 VALUE_TOLERANCE = 1e-4  # quality values are deterministic; allow fp dust
 MAX_SCHEMA_VERSION = 2  # v1 reports predate the alloc counters
 
@@ -93,18 +109,35 @@ def load(path):
     return report
 
 
-def compare(base, cur, tolerance, time_tolerance):
-    """Returns (failures, notes); raises UsageError on config mismatch."""
-    if base.get("config") != cur.get("config"):
-        raise UsageError(
-            "config mismatch",
-            f"baseline {base.get('config')} vs current {cur.get('config')}; "
-            "rerun the bench with the baseline's pinned scenario")
+def compare(base, replays, tolerance, time_tolerance):
+    """Gates one or more replays of the baseline's scenario. Returns
+    (failures, notes); raises UsageError on config mismatch."""
+    for cur in replays:
+        if base.get("config") != cur.get("config"):
+            raise UsageError(
+                "config mismatch",
+                f"baseline {base.get('config')} vs current "
+                f"{cur.get('config')}; rerun the bench with the baseline's "
+                "pinned scenario")
 
+    cur = replays[0]
     base_totals = base.get("totals", {})
     cur_totals = cur.get("totals", {})
     failures = []
     notes = []
+
+    if len(replays) > 1:
+        disagreed = False
+        for key in REPLAY_INVARIANTS:
+            seen = [replay.get("totals", {}).get(key) for replay in replays]
+            if any(value != seen[0] for value in seen):
+                disagreed = True
+                failures.append(f"{key}: replays disagree {seen} — a "
+                                "deterministic counter moved between "
+                                "identical runs")
+        if not disagreed:
+            notes.append(f"{len(replays)} replays agree on every "
+                         "deterministic counter")
 
     if base_totals.get("steps") != cur_totals.get("steps"):
         failures.append(
@@ -133,6 +166,8 @@ def compare(base, cur, tolerance, time_tolerance):
 
     for key in COUNTERS:
         gate_counter(key, required=True)
+    for key in OPTIONAL_COUNTERS:
+        gate_counter(key, required=False)
 
     base_tracked = bool(base.get("allocTracking"))
     cur_tracked = bool(cur.get("allocTracking"))
@@ -162,11 +197,15 @@ def compare(base, cur, tolerance, time_tolerance):
 
     if base.get("host") == cur.get("host"):
         for key in SECONDS:
-            old, new = base_totals.get(key), cur_totals.get(key)
-            if not old or new is None:
+            old = base_totals.get(key)
+            times = [replay.get("totals", {}).get(key) for replay in replays]
+            if not old or None in times:
                 continue
+            new = min(times)
             rel = (new - old) / old
             line = f"{key}: {old:.2f}s -> {new:.2f}s ({rel:+.1%})"
+            if len(replays) > 1:
+                line += f", fastest of {len(replays)} replays"
             if rel > time_tolerance:
                 failures.append(line + f" exceeds +{time_tolerance:.0%}")
             else:
@@ -310,14 +349,14 @@ def self_test():
 
     base = _report()
     check("identical reports pass",
-          compare(base, copy.deepcopy(base), 0.20, 0.50)[0] == [])
+          compare(base, [copy.deepcopy(base)], 0.20, 0.50)[0] == [])
 
     grown = _report(counters={"ilpNodes": 130})
     check("counter growth past tolerance fails",
-          any("ilpNodes" in f for f in compare(base, grown, 0.20, 0.50)[0]))
+          any("ilpNodes" in f for f in compare(base, [grown], 0.20, 0.50)[0]))
 
     shrunk = _report(counters={"ilpNodes": 50})
-    failures, notes = compare(base, shrunk, 0.20, 0.50)
+    failures, notes = compare(base, [shrunk], 0.20, 0.50)
     check("counter shrink is an improvement note, not a failure",
           failures == [] and any("improvement" in n for n in notes))
 
@@ -327,26 +366,56 @@ def self_test():
                                  "peakBytes": 4000}, schema=2)
     check("allocCount growth past tolerance fails",
           any("allocCount" in f
-              for f in compare(alloc_base, alloc_grown, 0.20, 0.50)[0]))
+              for f in compare(alloc_base, [alloc_grown], 0.20, 0.50)[0]))
 
     untracked = _report(schema=2, tracking=False)
-    failures, notes = compare(alloc_base, untracked, 0.20, 0.50)
+    failures, notes = compare(alloc_base, [untracked], 0.20, 0.50)
     check("untracked current skips the allocation gate with a note",
           failures == [] and any("allocation gate skipped" in n for n in notes))
 
-    failures, notes = compare(base, alloc_grown, 0.20, 0.50)
+    failures, notes = compare(base, [alloc_grown], 0.20, 0.50)
     check("v1 baseline accepts v2 current without gating allocs",
           failures == [] and any("rebaseline" in n for n in notes))
 
     moved = _report(counters={"avgTrueLossPct": 0.30})
     check("solution-quality drift fails",
-          any("quality moved" in f for f in compare(base, moved, 0.20, 0.50)[0]))
+          any("quality moved" in f for f in compare(base, [moved], 0.20, 0.50)[0]))
 
     try:
-        compare(base, _report(config="other"), 0.20, 0.50)
+        compare(base, [_report(config="other")], 0.20, 0.50)
         check("config mismatch raises", False)
     except UsageError:
         check("config mismatch raises", True)
+
+    refac_base = _report(counters={"ilpRefactorizations": 100})
+    refac_grown = _report(counters={"ilpRefactorizations": 130})
+    check("ilpRefactorizations growth past tolerance fails",
+          any("ilpRefactorizations" in f
+              for f in compare(refac_base, [refac_grown], 0.20, 0.50)[0]))
+    failures, notes = compare(base, [refac_grown], 0.20, 0.50)
+    check("a baseline without ilpRefactorizations does not gate it",
+          failures == [] and not any("ilpRefactorizations" in n
+                                     for n in notes))
+
+    slow, fast = (_report(counters={"ilpSeconds": t}) for t in (1.8, 1.2))
+    failures, notes = compare(base, [slow, fast, slow], 0.20, 0.50)
+    check("the fastest replay gates the wall clock",
+          failures == [] and any("fastest of 3" in n for n in notes))
+    check("every replay past the time tolerance fails",
+          any("ilpSeconds" in f
+              for f in compare(base, [slow, slow, slow], 0.20, 0.50)[0]))
+
+    failures, notes = compare(base, [base, _report(counters={"ilpNodes": 101}),
+                                     base], 0.20, 0.50)
+    check("replays that disagree on a counter fail",
+          any("replays disagree" in f and "ilpNodes" in f for f in failures))
+    failures, notes = compare(
+        alloc_base, [alloc_base,
+                     _report(alloc={"allocCount": 1000, "allocBytes": 8000,
+                                    "peakBytes": 4008}, schema=2)],
+        0.20, 0.50)
+    check("replays may differ in peakBytes",
+          failures == [] and any("replays agree" in n for n in notes))
 
     with tempfile.TemporaryDirectory() as tmp:
         missing = os.path.join(tmp, "missing.json")
@@ -429,7 +498,9 @@ def main():
     parser = argparse.ArgumentParser(
         description="bench_exact_solvers baseline regression gate")
     parser.add_argument("baseline", nargs="?")
-    parser.add_argument("current", nargs="?")
+    parser.add_argument("current", nargs="*",
+                        help="one report, or several replays of the "
+                             "scenario (not with --serve)")
     parser.add_argument("--tolerance", type=float, default=0.20,
                         help="allowed relative counter growth (default 0.20)")
     parser.add_argument("--time-tolerance", type=float, default=0.50,
@@ -443,18 +514,21 @@ def main():
 
     if args.self_test:
         return self_test()
-    if not args.baseline or not args.current:
+    if (not args.baseline or not args.current
+            or (args.serve and len(args.current) != 1)):
         print("bench_check: ERROR usage: bench_check.py BASELINE CURRENT "
-              "(or --self-test)", file=sys.stderr)
+              "[CURRENT...] (one CURRENT with --serve; or --self-test)",
+              file=sys.stderr)
         return 2
 
     try:
         base = load(args.baseline)
-        cur = load(args.current)
+        replays = [load(path) for path in args.current]
         if args.serve:
-            failures, notes = serve_compare(base, cur, args.time_tolerance)
+            failures, notes = serve_compare(base, replays[0],
+                                            args.time_tolerance)
         else:
-            failures, notes = compare(base, cur, args.tolerance,
+            failures, notes = compare(base, replays, args.tolerance,
                                       args.time_tolerance)
     except UsageError as error:
         print(f"bench_check: ERROR {error.what}: {error.detail}",

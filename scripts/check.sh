@@ -4,9 +4,11 @@
 # gate and under Clang's -Wthread-safety capability analysis, runs the
 # dynsched-lint project-rule linter (including the DSL1xx hot-path
 # performance rules), fuzzes the parser harnesses for a fixed 30-second
-# budget each, and replays the pinned bench_exact_solvers scenario — with
-# allocation tracking compiled in — against the committed BENCH_exact.json
-# baseline, counters and allocation totals both. Exits non-zero on any
+# budget each, and replays the pinned bench_exact_solvers scenario three
+# times — with allocation tracking compiled in — against the committed
+# BENCH_exact.json baseline, counters and allocation totals both (the
+# replays must agree on every counter; the fastest gates the wall clock).
+# Exits non-zero on any
 # failure; missing required tools fail fast instead of silently skipping a
 # gate.
 #
@@ -411,17 +413,33 @@ if ! skip bench; then
     fi
   fi
   if [[ " $FAILED " != *" bench "* ]]; then
-    if build-plain/bench/bench_exact_solvers "${BENCH_SCENARIO[@]}" \
-        --json build-plain/BENCH_exact.current.json > /dev/null; then
-      if [[ "$REBASELINE_BENCH" -eq 1 ]]; then
-        cp build-plain/BENCH_exact.current.json BENCH_exact.json
-        echo "bench: BENCH_exact.json rebaselined; review and commit it"
+    # Three replays: a shared host only ever slows a run down, so the
+    # fastest one gates the wall clock, and all three must agree on every
+    # deterministic counter.
+    BENCH_REPLAYS=()
+    for replay in 1 2 3; do
+      build-plain/bench/bench_exact_solvers "${BENCH_SCENARIO[@]}" \
+          --json "build-plain/BENCH_exact.replay$replay.json" > /dev/null \
+        || { FAILED="$FAILED bench"; break; }
+      BENCH_REPLAYS+=("build-plain/BENCH_exact.replay$replay.json")
+    done
+  fi
+  if [[ " $FAILED " != *" bench "* ]]; then
+    if [[ "$REBASELINE_BENCH" -eq 1 ]]; then
+      # The gate compares the fastest replay, so the baseline is one too.
+      if FASTEST="$(python3 -c 'import json, sys
+print(min(sys.argv[1:],
+          key=lambda p: json.load(open(p))["totals"]["ilpSeconds"]))' \
+          "${BENCH_REPLAYS[@]}")"; then
+        cp "$FASTEST" BENCH_exact.json
+        echo "bench: BENCH_exact.json rebaselined from the fastest replay;" \
+             "review and commit it"
       else
-        python3 scripts/bench_check.py BENCH_exact.json \
-            build-plain/BENCH_exact.current.json || FAILED="$FAILED bench"
+        FAILED="$FAILED bench"
       fi
     else
-      FAILED="$FAILED bench"
+      python3 scripts/bench_check.py BENCH_exact.json "${BENCH_REPLAYS[@]}" \
+        || FAILED="$FAILED bench"
     fi
   fi
 fi

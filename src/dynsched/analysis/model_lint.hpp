@@ -19,9 +19,11 @@
 //
 // Enforcement follows the audit layer: under an enabled DYNSCHED_AUDIT,
 // error findings throw AuditError naming the producing site; otherwise the
-// report is logged. tip::buildModel lints every time-indexed model it
+// report is logged. tip::buildModel lints each time-indexed model it
 // builds, once, with the TipModelView pass (which runs the generic LP and
-// MIP passes too); every model a production path solves comes from there.
+// MIP passes too), but only in a build with the audit compiled in and
+// while the runtime audit is on (analysis::auditEnabled()); with it off no
+// model is linted. Every model a production path solves comes from there.
 // mip::solveMip does not lint, so models built elsewhere (tests, benches)
 // are solved unlinted.
 #pragma once

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <utility>
 
 #include "dynsched/util/error.hpp"
 
@@ -9,10 +10,21 @@ namespace dynsched::lp {
 
 DenseBasis::DenseBasis(int m) : m_(m) {
   DYNSCHED_CHECK(m > 0);
-  inv_.assign(static_cast<std::size_t>(m_) * static_cast<std::size_t>(m_),
-              0.0);
   nonzeros_.reserve(static_cast<std::size_t>(m_));
   matNonzeros_.reserve(static_cast<std::size_t>(m_));
+}
+
+void DenseBasis::adopt(std::vector<double> inverse, int updates) {
+  DYNSCHED_CHECK(inverse.size() == static_cast<std::size_t>(m_) *
+                                       static_cast<std::size_t>(m_));
+  inv_ = std::move(inverse);
+  updates_ = updates;
+}
+
+std::vector<double> DenseBasis::release() {
+  std::vector<double> inverse;
+  inverse.swap(inv_);
+  return inverse;
 }
 
 bool DenseBasis::factorize(
@@ -37,7 +49,7 @@ bool DenseBasis::factorize(
     }
     if (nonzeros != 1) singletonRow_[k] = -1;
   }
-  std::fill(inv_.begin(), inv_.end(), 0.0);
+  inv_.assign(m * m, 0.0);
   for (std::size_t i = 0; i < m; ++i) inv_[i * m + i] = 1.0;
   pivotRow_.assign(m, -1);
   rowPivoted_.assign(m, 0);

@@ -7,6 +7,11 @@
 // columns (slacks, artificials) first: they need no elimination, so a basis
 // of mostly slacks — every crash basis, and most bases a branch & bound
 // node inherits — factorizes in about O(m²) instead of O(m³).
+//
+// The inverse can also leave with the basis it belongs to (release()) and
+// come back in a later solve of the same columns (adopt()), which then
+// skips the factorization: a branch & bound child starts from the inverse
+// its parent's solve ended with, updates and refresh count included.
 #pragma once
 
 #include <functional>
@@ -42,8 +47,18 @@ class DenseBasis {
   /// Requires |alpha[pos]| to be safely nonzero.
   void update(const std::vector<double>& alpha, int pos);
 
-  /// Pivots applied since the last factorize().
+  /// Pivots applied since the last factorize() (or carried in by adopt()).
   int updatesSinceFactorize() const { return updates_; }
+
+  /// Installs an inverse an earlier basis of the same columns ended with,
+  /// instead of factorizing: `inverse` is its B^{-1} (row-major m×m, rows in
+  /// basis order) and `updates` the pivots applied to it since it was last
+  /// factorized.
+  void adopt(std::vector<double> inverse, int updates);
+
+  /// Moves the inverse out (for adopt() in a later solve). The basis holds
+  /// no inverse afterwards: only factorize() or adopt() make it usable.
+  std::vector<double> release();
 
  private:
   /// Gauss-Jordan step of factorize(): scales row `pr` of [B | inverse] so

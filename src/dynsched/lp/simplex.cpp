@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "dynsched/lp/basis.hpp"
 #include "dynsched/util/budget.hpp"
@@ -58,7 +59,9 @@ class Simplex {
         total_(n_ + 2 * model.numRows()),
         basis_(std::max(1, model.numRows())) {}
 
-  LpSolution solve(const LpBasis* start);
+  /// `movableInverse`, when not null, is `start->inverse`, which the solve
+  /// may move out instead of copying.
+  LpSolution solve(const LpBasis* start, std::vector<double>* movableInverse);
 
  private:
   bool isSlack(int var) const { return var >= n_ && var < n_ + m_; }
@@ -134,9 +137,10 @@ class Simplex {
 
   /// Two-phase primal simplex from a crash basis.
   void solveCold(LpSolution& result);
-  /// Makes `start` the current basis (see solveLp). False when it does not
-  /// fit the model or is singular.
-  bool installBasis(const LpBasis& start);
+  /// Makes `start` the current basis (see solveLp), with its inverse when
+  /// that still fits, else refactorized. False when it does not fit the
+  /// model or is singular.
+  bool installBasis(const LpBasis& start, std::vector<double>* movableInverse);
   /// y = B^{-T} c_B and the reduced cost of every nonbasic non-artificial
   /// variable into reducedCost_. False when one has the wrong sign for the
   /// bound its variable sits at, beyond kOptimalityTol.
@@ -145,7 +149,8 @@ class Simplex {
   /// final; false when the start cannot be used and the caller must solve
   /// cold.
   bool dualResolve(LpSolution& result);
-  /// Fills an Optimal result from the current basis.
+  /// Fills an Optimal result from the current basis and moves the inverse
+  /// into it; the basis is unusable afterwards.
   void extractOptimal(LpSolution& result);
 
   const LpModel& model_;
@@ -169,11 +174,10 @@ class Simplex {
 };
 
 bool Simplex::refactorize() {
-  const bool ok = basis_.factorize([this](int k, std::vector<double>& col) {
+  ++refactorCount_;
+  return basis_.factorize([this](int k, std::vector<double>& col) {
     writeColumn(basisVars_[static_cast<std::size_t>(k)], col);
   });
-  if (ok) ++refactorCount_;
-  return ok;
 }
 
 void Simplex::computeBasicValues() {
@@ -218,7 +222,8 @@ double Simplex::phaseObjective(bool phase1) const {
   return total;
 }
 
-LpSolution Simplex::solve(const LpBasis* start) {
+LpSolution Simplex::solve(const LpBasis* start,
+                          std::vector<double>* movableInverse) {
   LpSolution result;
   if (cancel_ != nullptr && cancel_->injectLpFailure()) {
     // Deterministic fault injection: this solve "fails numerically".
@@ -254,14 +259,19 @@ LpSolution Simplex::solve(const LpBasis* start) {
   y_.assign(m, 0.0);
   alpha_.assign(m, 0.0);
   if (start != nullptr) {
-    if (installBasis(*start) && dualResolve(result)) return result;
+    if (installBasis(*start, movableInverse) && dualResolve(result)) {
+      result.refactorizations = refactorCount_;
+      return result;
+    }
     result.coldFallback = true;
   }
   solveCold(result);
+  result.refactorizations = refactorCount_;
   return result;
 }
 
-bool Simplex::installBasis(const LpBasis& start) {
+bool Simplex::installBasis(const LpBasis& start,
+                           std::vector<double>* movableInverse) {
   const std::size_t rowsThen = start.basic.size();
   if (start.columns() != n_ || rowsThen > static_cast<std::size_t>(m_)) {
     return false;
@@ -308,7 +318,19 @@ bool Simplex::installBasis(const LpBasis& start) {
                       : VarStatus::Free;
     }
   }
-  if (basics != m_ || !refactorize()) return false;
+  if (basics != m_) return false;
+  // The start's inverse still fits unless rows were appended since or its
+  // periodic refresh is due.
+  if (rowsThen == m && start.inverse.size() == m * m &&
+      start.updates < kRefactorInterval) {
+    if (movableInverse != nullptr) {
+      basis_.adopt(std::move(*movableInverse), start.updates);
+    } else {
+      basis_.adopt(start.inverse, start.updates);
+    }
+  } else if (!refactorize()) {
+    return false;
+  }
   computeBasicValues();
   return true;
 }
@@ -512,7 +534,6 @@ void Simplex::extractOptimal(LpSolution& result) {
   }
   basis_.btran(y_);
   result.duals = y_;
-  result.refactorizations = refactorCount_;
   result.status = LpStatus::Optimal;
 
   // A basis with an artificial still basic (at zero) is not handed on.
@@ -522,6 +543,8 @@ void Simplex::extractOptimal(LpSolution& result) {
   if (!artificialBasic) {
     result.basis.basic = basisVars_;
     result.basis.status.assign(status_.begin(), status_.begin() + n_ + m_);
+    result.basis.updates = basis_.updatesSinceFactorize();
+    result.basis.inverse = basis_.release();
   }
 }
 
@@ -787,7 +810,13 @@ void Simplex::solveCold(LpSolution& result) {
 LpSolution solveLp(const LpModel& model, util::CancelToken* cancel,
                    const LpBasis* start) {
   Simplex solver(model, cancel);
-  return solver.solve(start);
+  return solver.solve(start, nullptr);
+}
+
+LpSolution solveLp(const LpModel& model, util::CancelToken* cancel,
+                   LpBasis&& start) {
+  Simplex solver(model, cancel);
+  return solver.solve(&start, &start.inverse);
 }
 
 }  // namespace dynsched::lp

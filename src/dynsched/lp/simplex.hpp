@@ -17,6 +17,12 @@
 // and picks the entering column by a two-pass (Harris) dual ratio test.
 // Whenever the start cannot be used the same model is solved cold.
 //
+// An optimal basis leaves with its factorization (LpBasis::inverse, moved
+// out of the solver, not copied). A start that brings its inverse for the
+// same rows skips the O(m³) refactorization and continues the product-form
+// update count; a start without one, a start taken before rows were
+// appended, or one due for its 120-update refresh is refactorized first.
+//
 // This solver plays the role of the LP engine inside the branch-and-bound
 // "CPLEX substitute" (dynsched::mip); see DESIGN.md, substitutions.
 #pragma once
@@ -53,6 +59,15 @@ enum class VarStatus : std::uint8_t { Basic, AtLower, AtUpper, Free };
 struct LpBasis {
   std::vector<int> basic;         ///< per row: the basic variable
   std::vector<VarStatus> status;  ///< per column, then per row slack
+  /// B^{-1} of the `basic` columns, row-major with rows in `basic` order,
+  /// as the solve that returned the basis left it; empty when not carried
+  /// (a start without it is refactorized). Only valid together with
+  /// `basic` and the model's matrix it was taken from: callers may drop
+  /// it, never edit it.
+  std::vector<double> inverse;
+  /// Product-form updates applied to `inverse` since its last
+  /// refactorization.
+  int updates = 0;
 
   /// Column count of the model the basis was taken from.
   int columns() const {
@@ -67,10 +82,12 @@ struct LpSolution {
   std::vector<double> rowActivity;  ///< A x per row
   std::vector<double> duals;        ///< dual values per row (phase-2 y)
   long iterations = 0;
+  /// Basis factorizations the solve ran, whatever its status (a start
+  /// that carried its inverse needs none).
   long refactorizations = 0;
-  /// The optimal basis (Optimal only). Left empty for a model without
-  /// rows and when an artificial variable is still basic, which no later
-  /// solve can start from.
+  /// The optimal basis with its inverse (Optimal only). Left empty for a
+  /// model without rows and when an artificial variable is still basic,
+  /// which no later solve can start from.
   LpBasis basis;
   /// A start basis was passed but could not be used (wrong size, singular,
   /// not dual feasible, or the dual re-solve broke down), so the model was
@@ -93,8 +110,14 @@ struct LpSolution {
 /// rows may differ (each appended row starts with its slack basic). The
 /// solve re-optimizes it with the dual simplex and falls back to the cold
 /// two-phase primal whenever it cannot (see LpSolution::coldFallback).
+/// A carried inverse is copied in when the row count still matches.
 /// Non-owning; may be null.
 LpSolution solveLp(const LpModel& model, util::CancelToken* cancel = nullptr,
                    const LpBasis* start = nullptr);
+
+/// As above, but the solve may move `start.inverse` out instead of copying
+/// it (`start` is left without an inverse): for a start no one else needs.
+LpSolution solveLp(const LpModel& model, util::CancelToken* cancel,
+                   LpBasis&& start);
 
 }  // namespace dynsched::lp

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
-#include <queue>
 #include <sstream>
+#include <utility>
 
 #include "dynsched/lp/simplex.hpp"
 #include "dynsched/util/error.hpp"
@@ -54,7 +54,19 @@ struct BoundChange {
 
 /// A node's start basis: its parent's optimal basis, shared by both
 /// children. Null makes the node LP solve cold.
-using SharedBasis = std::shared_ptr<const lp::LpBasis>;
+using SharedBasis = std::shared_ptr<lp::LpBasis>;
+
+/// Bytes of basis inverses that one solve may keep parked in its open
+/// nodes' bases. An inverse costs 8·m² bytes (0.2–0.7 MB at the pinned
+/// scenario's 161–301 rows); past the budget a branched node hands its
+/// children the basis without it, and they refactorize. A constant of the
+/// solve, so whether a child adopts its parent's inverse depends on that
+/// solve's inputs alone.
+constexpr std::size_t kParkedInverseBytes = std::size_t{24} << 20;
+
+std::size_t inverseBytes(const lp::LpBasis& basis) {
+  return basis.inverse.size() * sizeof(double);
+}
 
 struct Node {
   long id = 0;
@@ -62,13 +74,6 @@ struct Node {
   std::vector<BoundChange> changes;    ///< path from root
   SharedBasis basis;                   ///< parent's optimal basis
 };
-
-/// Hands a node's optimal basis on to its children; null when the LP left
-/// an artificial basic (lp::LpSolution::basis is then empty).
-SharedBasis shareBasis(lp::LpBasis&& basis) {
-  if (basis.basic.empty()) return nullptr;
-  return std::make_shared<const lp::LpBasis>(std::move(basis));
-}
 
 struct NodeWorse {
   bool operator()(const Node& a, const Node& b) const {
@@ -106,12 +111,21 @@ class BranchAndBound {
   /// Separates violated cover cuts from the *original* rows against the
   /// fractional point `x`, appending them to work_ (globally valid rows).
   int separateCoverCuts(const std::vector<double>& x);
+  /// Hands a node's optimal basis on to its children; null when the LP left
+  /// an artificial basic (lp::LpSolution::basis is then empty). The inverse
+  /// goes along while it fits the parked budget.
+  SharedBasis shareBasis(lp::LpBasis&& basis);
+  /// Solves the LP of a popped node from its start basis. The last node
+  /// holding a basis takes its inverse; an earlier sibling copies it.
+  lp::LpSolution solveNode(Node& node);
 
   const MipModel& model_;
   const MipOptions& opts_;
   lp::LpModel work_;  ///< working copy whose bounds are rewritten per node
   std::vector<int> colGroup_;  ///< per column: branch-group index or -1
   int cutRoundsUsed_ = 0;
+  /// Bytes of the inverses held by open nodes' bases (kParkedInverseBytes).
+  std::size_t parkedBytes_ = 0;
 
   MipResult result_;
   bool haveIncumbent_ = false;
@@ -233,6 +247,23 @@ int BranchAndBound::separateCoverCuts(const std::vector<double>& x) {
   return added;
 }
 
+SharedBasis BranchAndBound::shareBasis(lp::LpBasis&& basis) {
+  if (basis.basic.empty()) return nullptr;
+  if (parkedBytes_ + inverseBytes(basis) > kParkedInverseBytes) {
+    basis.inverse = std::vector<double>();  // frees it; children refactorize
+  }
+  parkedBytes_ += inverseBytes(basis);
+  return std::make_shared<lp::LpBasis>(std::move(basis));
+}
+
+lp::LpSolution BranchAndBound::solveNode(Node& node) {
+  if (!node.basis) return lp::solveLp(work_, opts_.cancel);
+  if (node.basis.use_count() > 1) {
+    return lp::solveLp(work_, opts_.cancel, node.basis.get());
+  }
+  return lp::solveLp(work_, opts_.cancel, std::move(*node.basis));
+}
+
 double BranchAndBound::tightenBound(double bound) const {
   // With an integral objective, any integer point costs at least the next
   // integer above a fractional LP bound.
@@ -245,9 +276,15 @@ MipResult BranchAndBound::run() {
     tryIncumbent(*opts_.warmStart, "warm-start");
   }
 
-  std::priority_queue<Node, std::vector<Node>, NodeWorse> open;
+  // A binary heap under NodeWorse (best bound at the front); nodes leave
+  // it by move.
+  std::vector<Node> open;
+  const auto push = [&open](Node&& node) {
+    open.push_back(std::move(node));
+    std::push_heap(open.begin(), open.end(), NodeWorse{});
+  };
   long nextId = 0;
-  open.push(Node{nextId++, -lp::kInf, {}, nullptr});  // the root solves cold
+  push(Node{nextId++, -lp::kInf, {}, nullptr});  // the root solves cold
   bool anyLimitHit = false;
 
   while (!open.empty()) {
@@ -271,8 +308,11 @@ MipResult BranchAndBound::run() {
           std::to_string(result_.nodes);
       break;
     }
-    Node node = open.top();
-    open.pop();
+    std::pop_heap(open.begin(), open.end(), NodeWorse{});
+    Node node = std::move(open.back());
+    open.pop_back();
+    // The last open node holding its basis releases the parked inverse.
+    if (node.basis.use_count() == 1) parkedBytes_ -= inverseBytes(*node.basis);
 
     // Global bound = min over open nodes and the node in hand.
     const double globalBound =
@@ -316,9 +356,9 @@ MipResult BranchAndBound::run() {
       result_.seconds = timer_.elapsedSeconds();
       return result_;
     }
-    lp::LpSolution relax =
-        lp::solveLp(work_, opts_.cancel, node.basis.get());
+    lp::LpSolution relax = solveNode(node);
     result_.lpIterations += relax.iterations;
+    result_.refactorizations += relax.refactorizations;
     if (relax.status == lp::LpStatus::Infeasible) continue;
     if (relax.status == lp::LpStatus::Cancelled) {
       // The shared budget fired mid-relaxation; the node is unexplored but
@@ -332,7 +372,7 @@ MipResult BranchAndBound::run() {
          << ") inside the LP of node " << result_.nodes << " after "
          << relax.iterations << " iterations";
       result_.message = os.str();
-      open.push(std::move(node));  // count it among the open bounds below
+      push(std::move(node));  // count it among the open bounds below
       break;
     }
     if (relax.status == lp::LpStatus::Unbounded) {
@@ -375,8 +415,8 @@ MipResult BranchAndBound::run() {
       ++cutRoundsUsed_;
       if (separateCoverCuts(relax.x) > 0) {
         // The cut rows join the root's basis with their slacks basic.
-        open.push(Node{nextId++, tightenBound(relax.objective), {},
-                       shareBasis(std::move(relax.basis))});
+        push(Node{nextId++, tightenBound(relax.objective), {},
+                  shareBasis(std::move(relax.basis))});
         continue;
       }
     }
@@ -448,8 +488,8 @@ MipResult BranchAndBound::run() {
         for (std::size_t k = 0; k <= static_cast<std::size_t>(split); ++k) {
           right.changes.push_back(BoundChange{cols[k], -lp::kInf, 0.0});
         }
-        open.push(std::move(left));
-        open.push(std::move(right));
+        push(std::move(left));
+        push(std::move(right));
         continue;
       }
       // Degenerate group (single fractional column): fall through to the
@@ -478,18 +518,18 @@ MipResult BranchAndBound::run() {
     // Push the child whose branch direction is closer to the LP value
     // first so ties pop it earlier (mild plunging under best-first).
     if (v - floorV > 0.5) {
-      open.push(std::move(up));
-      open.push(std::move(down));
+      push(std::move(up));
+      push(std::move(down));
     } else {
-      open.push(std::move(down));
-      open.push(std::move(up));
+      push(std::move(down));
+      push(std::move(up));
     }
   }
 
   // Global lower bound: min(incumbent, smallest bound among open nodes);
   // with the tree fully explored it is the incumbent itself.
   if (!open.empty()) {
-    double openBound = open.top().bound;
+    double openBound = open.front().bound;
     if (haveIncumbent_) openBound = std::min(openBound, result_.objective);
     result_.bestBound = std::max(result_.bestBound, openBound);
   } else if (haveIncumbent_) {

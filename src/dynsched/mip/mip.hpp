@@ -12,7 +12,11 @@
 // node re-solves its parent's optimal basis with the dual simplex (both
 // children share it). A child differs from its parent only in bound
 // fixings, so a few dual pivots replace a cold two-phase solve; the LP
-// layer solves cold whenever the inherited basis cannot be used.
+// layer solves cold whenever the inherited basis cannot be used. The shared
+// basis also carries the parent's basis inverse, so a child skips the
+// refactorization, while the inverses parked in one solve's open nodes fit
+// a fixed byte budget (a constant in mip.cpp); the second child to run
+// takes the inverse without a copy. Past the budget children refactorize.
 #pragma once
 
 #include <functional>
@@ -58,6 +62,8 @@ struct MipResult {
   double bestBound = -lp::kInf;
   long nodes = 0;
   long lpIterations = 0;
+  /// Basis factorizations of every node LP, whatever its status.
+  long refactorizations = 0;
   long heuristicSolutions = 0;
   double seconds = 0;
   /// Why the solve stopped short, when it did: for Error the failing node

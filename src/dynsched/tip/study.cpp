@@ -34,6 +34,7 @@ StudyRow runStep(const sim::StepSnapshot& snapshot,
   row.solveSeconds = solved.seconds;
   row.status = solved.mipStatus;
   row.nodes = solved.nodes;
+  row.refactorizations = solved.refactorizations;
   row.gap = solved.gap;
   row.lpColumns = solved.lpColumns;
   row.lpRows = solved.lpRows;

@@ -66,6 +66,9 @@ struct StudyRow {
   mip::MipStatus status = mip::MipStatus::Error;
   double gap = 0;              ///< relative B&B gap at stop
   long nodes = 0;
+  /// Node-LP basis factorizations of the solve. A diagnostic the journal
+  /// does not keep: a row restored from a journal reads 0.
+  long refactorizations = 0;
   int lpColumns = 0;
   int lpRows = 0;
   /// Degradation-ladder provenance of the supervised solve.

@@ -86,6 +86,7 @@ struct AttemptOutcome {
   double gap = 0;
   int lpColumns = 0;
   int lpRows = 0;
+  long refactorizations = 0;  ///< of the MIP's node LPs
   std::string note;           ///< failure diagnosis when !success
 };
 
@@ -113,6 +114,7 @@ AttemptOutcome attemptSolve(const TipInstance& instance,
 
     const mip::MipResult solved = mip::solveMip(model.mip, mipOptions);
     out.status = solved.status;
+    out.refactorizations = solved.refactorizations;
     if (!solved.hasSolution()) {
       out.note = solved.message.empty() ? mip::mipStatusName(solved.status)
                                         : solved.message;
@@ -245,6 +247,7 @@ SupervisedResult supervisedBestSchedule(const sim::StepSnapshot& snapshot,
     } else {
       AttemptOutcome first =
           attemptSolve(instance, snapshot, options, token);
+      result.refactorizations += first.refactorizations;
       if (first.success) {
         const bool optimal = first.optimal;
         prov << (optimal ? "proven optimal"
@@ -278,6 +281,7 @@ SupervisedResult supervisedBestSchedule(const sim::StepSnapshot& snapshot,
     result.coarsened = true;
     prov << "; retrying at coarsened scale " << coarse.timeScale;
     AttemptOutcome second = attemptSolve(coarse, snapshot, options, token);
+    result.refactorizations += second.refactorizations;
     if (second.success) {
       prov << ": " << (second.optimal ? "optimal" : "incumbent") << " found";
       adoptAttempt(result, std::move(second));

@@ -83,6 +83,7 @@ struct SupervisedResult {
   bool coarsened = false;    ///< a coarsened retry was attempted
   long nodes = 0;            ///< B&B nodes consumed across all attempts
   long lpIterations = 0;     ///< simplex iterations consumed across attempts
+  long refactorizations = 0; ///< node-LP basis factorizations across attempts
   double seconds = 0;        ///< wall time of the whole ladder
   int lpColumns = 0;         ///< columns of the last built model
   int lpRows = 0;            ///< rows of the last built model

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <string>
 
+#include "dynsched/analysis/audit.hpp"
 #include "dynsched/analysis/model_lint.hpp"
 #include "dynsched/core/policies.hpp"
 #include "dynsched/lp/model.hpp"
@@ -157,6 +158,9 @@ TipModel buildModel(const TipInstance& instance, const Grid& grid) {
     }
   }
 #if defined(DYNSCHED_AUDIT_ENABLED) && DYNSCHED_AUDIT_ENABLED
+  // Only while the runtime audit runs: with it off, a finding could only be
+  // logged.
+  if (!analysis::auditEnabled()) return model;
   analysis::TipModelView view;
   view.model = &model.mip;
   view.numJobs = numJobs;

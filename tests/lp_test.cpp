@@ -2,10 +2,12 @@
 // randomized property tests that certify optimality through the returned
 // duals (feasible point + dual feasibility + complementary slackness on
 // bounds is a full optimality certificate for an LP), and a differential
-// suite for the dual re-solve from a parent's basis against cold solves.
+// suite for the dual re-solve from a parent's basis, with and without the
+// parent's basis inverse, against cold solves.
 #include <algorithm>
 #include <cmath>
 #include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -505,25 +507,35 @@ void branch(LpModel& model, const std::vector<std::vector<int>>& groups,
   model.addRow(-kInf, activity - rng.uniform(0.05, 1), entries);
 }
 
-/// Solves `model` cold and from `start`; both must agree. Returns the
-/// re-solve, whose basis seeds the next level.
-LpSolution expectSameAsCold(const LpModel& model, const LpBasis& start,
-                            const std::string& label) {
+/// Solves `model` three ways: from `start` with the inverse its solve
+/// carried (adopted while the rows still match), from the same basis
+/// stripped of it (refactorized), and cold. All three must agree. Returns
+/// the first, whose basis and inverse seed the next level.
+LpSolution expectSameThreeWays(const LpModel& model, const LpBasis& start,
+                               const std::string& label) {
   const LpSolution cold = solveLp(model);
-  LpSolution warm = solveLp(model, nullptr, &start);
-  EXPECT_FALSE(warm.coldFallback) << label;
-  EXPECT_EQ(warm.status, cold.status) << label;
-  if (!cold.optimal() || !warm.optimal()) return warm;
-  EXPECT_NEAR(warm.objective, cold.objective,
-              1e-9 * std::max(1.0, std::fabs(cold.objective)))
-      << label;
-  EXPECT_TRUE(model.isFeasible(warm.x, 1e-7)) << label;
-  expectOptimalityCertificate(model, warm, label);
-  return warm;
+  LpBasis stripped = start;
+  stripped.inverse.clear();
+  const LpSolution refactored = solveLp(model, nullptr, &stripped);
+  LpSolution carried = solveLp(model, nullptr, &start);
+  using Way = std::pair<const LpSolution*, const char*>;
+  for (const auto& [warm, how] : {Way{&carried, " (inverse carried)"},
+                                  Way{&refactored, " (refactorized)"}}) {
+    const std::string where = label + how;
+    EXPECT_FALSE(warm->coldFallback) << where;
+    EXPECT_EQ(warm->status, cold.status) << where;
+    if (!cold.optimal() || !warm->optimal()) continue;
+    EXPECT_NEAR(warm->objective, cold.objective,
+                1e-9 * std::max(1.0, std::fabs(cold.objective)))
+        << where;
+    EXPECT_TRUE(model.isFeasible(warm->x, 1e-7)) << where;
+    expectOptimalityCertificate(model, *warm, where);
+  }
+  return carried;
 }
 
 /// Three levels of branching below a cold root; every level re-solves from
-/// its parent's basis.
+/// its parent's basis, with and without the parent's inverse.
 void checkBranchChain(const LpModel& root,
                       const std::vector<std::vector<int>>& groups,
                       util::Rng& rng, const std::string& label) {
@@ -533,8 +545,8 @@ void checkBranchChain(const LpModel& root,
   for (int depth = 1; depth <= 3; ++depth) {
     if (parent.basis.basic.empty()) return;  // an artificial stayed basic
     branch(model, groups, parent.x, rng);
-    parent = expectSameAsCold(model, parent.basis,
-                              label + " depth " + std::to_string(depth));
+    parent = expectSameThreeWays(model, parent.basis,
+                                 label + " depth " + std::to_string(depth));
     if (!parent.optimal()) return;
   }
 }
@@ -593,10 +605,71 @@ TEST(DualResolve, OptimalStartNeedsNoPivot) {
   ASSERT_TRUE(cold.optimal());
   ASSERT_EQ(cold.basis.basic.size(), 3u);
   ASSERT_EQ(cold.basis.columns(), 2);
+  ASSERT_EQ(cold.basis.inverse.size(), 9u);  // the inverse comes along
   const LpSolution again = solveLp(m, nullptr, &cold.basis);
   EXPECT_FALSE(again.coldFallback);
   EXPECT_EQ(again.iterations, 0);
+  EXPECT_EQ(again.refactorizations, 0);  // the carried inverse is adopted
   EXPECT_NEAR(again.objective, -36.0, kTol);
+}
+
+TEST(DualResolve, StartWithoutInverseRefactorizesOnce) {
+  const LpModel m = textbookLp();
+  LpBasis start = solveLp(m).basis;
+  start.inverse.clear();
+  const LpSolution s = solveLp(m, nullptr, &start);
+  EXPECT_FALSE(s.coldFallback);
+  EXPECT_EQ(s.iterations, 0);
+  EXPECT_EQ(s.refactorizations, 1);
+  EXPECT_NEAR(s.objective, -36.0, kTol);
+}
+
+TEST(DualResolve, MovedStartHandsItsInverseOver) {
+  // A child that needs pivots, solved from a start no one else needs: the
+  // solve takes the inverse without a copy and hands back its own.
+  LpModel m = textbookLp();
+  LpBasis start = solveLp(m).basis;
+  m.setColumnBounds(1, 0, 1);  // b <= 1 cuts the optimum b = 6 off
+  const LpSolution cold = solveLp(m);
+  const LpSolution s = solveLp(m, nullptr, std::move(start));
+  EXPECT_TRUE(start.inverse.empty());  // NOLINT(bugprone-use-after-move)
+  ASSERT_TRUE(s.optimal());
+  EXPECT_FALSE(s.coldFallback);
+  EXPECT_GT(s.iterations, 0);
+  EXPECT_EQ(s.refactorizations, 0);
+  EXPECT_EQ(s.basis.updates, s.iterations);  // one update per dual pivot
+  EXPECT_EQ(s.basis.inverse.size(), 9u);
+  EXPECT_NEAR(s.objective, cold.objective, kTol);
+}
+
+TEST(DualResolve, StartTakenBeforeAnAppendedRowRefactorizes) {
+  // The parent's inverse covers three rows; the child has a fourth (a cut
+  // the parent optimum a = 2, b = 6 violates), so it cannot be adopted.
+  LpModel m = textbookLp();
+  const LpBasis start = solveLp(m).basis;
+  ASSERT_EQ(start.inverse.size(), 9u);
+  m.addRow(-kInf, 7.0, {{0, 1.0}, {1, 1.0}});
+  const LpSolution cold = solveLp(m);
+  const LpSolution s = solveLp(m, nullptr, &start);
+  ASSERT_TRUE(s.optimal());
+  EXPECT_FALSE(s.coldFallback);
+  EXPECT_EQ(s.refactorizations, 1);
+  EXPECT_EQ(s.basis.inverse.size(), 16u);
+  EXPECT_NEAR(s.objective, cold.objective, kTol);
+}
+
+TEST(DualResolve, InverseIsRefreshedAfter120Updates) {
+  // A carried inverse already due for its periodic refresh is refactorized
+  // on install instead of adopted.
+  const LpModel m = textbookLp();
+  LpBasis start = solveLp(m).basis;
+  start.updates = 120;
+  const LpSolution s = solveLp(m, nullptr, &start);
+  EXPECT_FALSE(s.coldFallback);
+  EXPECT_EQ(s.refactorizations, 1);
+  EXPECT_EQ(s.basis.updates, 0);
+  start.updates = 119;
+  EXPECT_EQ(solveLp(m, nullptr, &start).refactorizations, 0);
 }
 
 TEST(DualResolve, WrongSizeStartSolvesCold) {

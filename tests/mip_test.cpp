@@ -1,8 +1,10 @@
 // Branch & bound tests: knapsacks and assignment problems with known
-// optima, warm starts, limits, and randomized cross-checks against
-// exhaustive enumeration over the integer grid.
+// optima, warm starts, limits, randomized cross-checks against exhaustive
+// enumeration over the integer grid, and the basis inverses children take
+// over from their parents (reproducible, bounded per solve).
 #include <cmath>
 #include <functional>
+#include <thread>
 
 #include <gtest/gtest.h>
 
@@ -248,6 +250,78 @@ INSTANTIATE_TEST_SUITE_P(RandomInstances, MipRandomTest,
                                   "_r" + std::to_string(info.param.rows);
                          });
 
+
+// ---------------------------------------------------------------------------
+// Basis inverses handed from parents to children.
+// ---------------------------------------------------------------------------
+
+/// A knapsack over `items` binaries with three capacity rows (items of
+/// similar value density, so the tree branches), plus `looseRows` rows
+/// x_j + x_{j+1} <= 3 that no point within the bounds can violate: they
+/// leave the optimum and the tree alone and only make the basis bigger.
+MipModel multiKnapsack(std::uint64_t seed, int items, int looseRows) {
+  util::Rng rng(seed);
+  MipModel m;
+  std::vector<std::vector<std::pair<int, double>>> rows(3);
+  for (int j = 0; j < items; ++j) {
+    const int col = m.addIntegerVariable(0, 1, -rng.uniform(10, 12));
+    for (auto& row : rows) row.emplace_back(col, rng.uniform(4, 8));
+  }
+  for (const auto& row : rows) {
+    m.lp.addRow(-lp::kInf, 3.0 * static_cast<double>(items), row);
+  }
+  for (int r = 0; r < looseRows; ++r) {
+    const int j = r % items;
+    m.lp.addRow(-lp::kInf, 3.0, {{j, 1.0}, {(j + 1) % items, 1.0}});
+  }
+  return m;
+}
+
+TEST(Mip, ChildrenAdoptTheirParentsInverse) {
+  const MipModel m = multiKnapsack(31, 24, 0);
+  const MipResult r = solveMip(m);
+  ASSERT_EQ(r.status, MipStatus::Optimal);
+  ASSERT_GT(r.nodes, 20);
+  // Without the inverse every node LP would factorize at least once.
+  EXPECT_LT(r.refactorizations, r.nodes / 2);
+}
+
+TEST(Mip, RepeatedAndConcurrentSolvesAgree) {
+  // Whether a child adopts its parent's inverse depends on the solve's own
+  // parked budget alone, so neither a second run nor a concurrent one may
+  // change a pivot. The loose rows make the inverses big enough to fill
+  // the budget (see the next test).
+  const MipModel m = multiKnapsack(57, 8, 800);
+  const MipResult first = solveMip(m);
+  ASSERT_EQ(first.status, MipStatus::Optimal);
+  MipResult again = solveMip(m);
+  MipResult left, right;
+  std::thread a([&] { left = solveMip(m); });
+  std::thread b([&] { right = solveMip(m); });
+  a.join();
+  b.join();
+  for (const MipResult* r : {&again, &left, &right}) {
+    EXPECT_EQ(r->status, first.status);
+    EXPECT_EQ(r->x, first.x);
+    EXPECT_EQ(r->nodes, first.nodes);
+    EXPECT_EQ(r->lpIterations, first.lpIterations);
+    EXPECT_EQ(r->refactorizations, first.refactorizations);
+  }
+}
+
+TEST(Mip, OverflowingTheParkedInverseBudgetKeepsTheOptimum) {
+  // 800 loose rows make each inverse about 5 MB, so only a few fit the
+  // per-solve budget and the other children refactorize.
+  const MipModel compact = multiKnapsack(57, 8, 0);
+  const MipModel padded = multiKnapsack(57, 8, 800);
+  const MipResult small = solveMip(compact);
+  const MipResult big = solveMip(padded);
+  ASSERT_EQ(small.status, MipStatus::Optimal);
+  ASSERT_EQ(big.status, MipStatus::Optimal);
+  EXPECT_NEAR(big.objective, small.objective, kTol);
+  EXPECT_TRUE(padded.lp.isFeasible(big.x, 1e-6));
+  EXPECT_GT(big.refactorizations, small.refactorizations);
+}
 
 TEST(Mip, CancelDeadlineNowWithoutIncumbentIsNoSolutionLimit) {
   const MipModel m = knapsack({10, 13, 7, 11}, {5, 6, 4, 5}, 10);

@@ -338,6 +338,26 @@ TEST(ModelLintWiring, SupervisedSolveLintsEachModelOnce) {
   EXPECT_EQ(modelLintStats().failed, 0u);
 }
 
+// With the runtime audit off a finding could only be logged, so buildModel
+// skips the pass.
+TEST(ModelLintWiring, SupervisedSolveWithAuditOffLintsNothing) {
+  ScopedAudit audit(false);
+  const sim::StepSnapshot snapshot = tip::makeRequestSnapshot(
+      core::MachineHistory::fromRunningJobs(core::Machine{32}, 0,
+                                            {core::RunningJob{99, 16, 900}}),
+      {makeJob(1, 0, 16, 600), makeJob(2, 0, 32, 300), makeJob(3, 0, 8, 1200),
+       makeJob(4, 0, 24, 450)},
+      0, core::MetricKind::SldWA);
+  tip::SupervisedOptions options;
+  options.forcedTimeScale = 60;
+  options.faults = util::FaultPlan{};
+  resetModelLintStats();
+  const tip::SupervisedResult solved =
+      tip::supervisedBestSchedule(snapshot, options);
+  EXPECT_EQ(solved.rung, tip::SolveRung::Optimal) << solved.provenance;
+  EXPECT_EQ(modelLintStats().modelsLinted, 0u);
+}
+
 #endif  // DYNSCHED_AUDIT_ENABLED
 
 // ---------------------------------------------------------------------------
