@@ -3,13 +3,62 @@
 #include <algorithm>
 #include <exception>
 
+#include <sched.h>
+
 namespace dynsched::util {
+
+namespace {
+
+/// The CPUs the calling thread may run on, ascending; empty when unknown.
+std::vector<int> allowedCpus() {
+  std::vector<int> cpus;
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof set, &set) == 0) {
+    for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+      if (CPU_ISSET(cpu, &set)) cpus.push_back(cpu);
+    }
+  }
+  return cpus;
+}
+
+/// Moves the calling thread to `cpu`, then allows it every CPU it was
+/// allowed before.
+void moveTo(int cpu) {
+  cpu_set_t allowed;
+  CPU_ZERO(&allowed);
+  if (sched_getaffinity(0, sizeof allowed, &allowed) != 0) return;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  if (sched_setaffinity(0, sizeof one, &one) == 0) {
+    (void)sched_setaffinity(0, sizeof allowed, &allowed);
+  }
+}
+
+}  // namespace
+
+int workerStartCpu(const std::vector<int>& allowed, int creatorCpu,
+                   unsigned index) {
+  DYNSCHED_CHECK(!allowed.empty());
+  const auto first = static_cast<std::size_t>(
+      std::upper_bound(allowed.begin(), allowed.end(), creatorCpu) -
+      allowed.begin());
+  return allowed[(first + index) % allowed.size()];
+}
 
 ThreadPool::ThreadPool(unsigned threads) {
   const unsigned n = std::max(1u, threads);
   workers_.reserve(n);
+  const std::vector<int> cpus = allowedCpus();
+  const int creatorCpu = sched_getcpu();  // -1 when unknown
   for (unsigned i = 0; i < n; ++i) {
-    workers_.emplace_back([this] { workerLoop(); });
+    const int cpu =
+        cpus.size() > 1 ? workerStartCpu(cpus, creatorCpu, i) : -1;
+    workers_.emplace_back([this, cpu] {
+      if (cpu >= 0) moveTo(cpu);
+      workerLoop();
+    });
   }
 }
 

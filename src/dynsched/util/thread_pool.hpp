@@ -1,11 +1,18 @@
 // Fixed-size thread pool.
 //
-// Used where the framework has embarrassingly parallel work: evaluating the
-// three policy schedules of a self-tuning step concurrently, and running
-// independent ILP instances of an offline study in parallel. The design
-// follows the C++ Core Guidelines concurrency rules: RAII joins all workers
-// (CP.23-style joining threads), tasks communicate results via futures
-// rather than shared mutable state.
+// Used where the framework has parallel work: running independent ILP
+// instances of an offline study, and handling the server's connections
+// (each solves its request on the worker). The design follows the C++ Core
+// Guidelines concurrency rules: RAII joins all workers (CP.23-style joining
+// threads), tasks communicate results via futures rather than shared
+// mutable state.
+//
+// Workers start spread over the CPUs the process may use, beginning after
+// the creating thread's CPU (workerStartCpu). A new thread otherwise starts
+// on its creator's CPU, and where the kernel does not balance load (a
+// cpuset with sched_load_balance off) all workers stay there and run one
+// at a time. Each worker moves to its CPU once and then allows every CPU
+// again, so it is placed, not pinned.
 //
 // Locking discipline (checked by -Wthread-safety): `mutex_` guards the task
 // queue and the stop flag; it is never held while running a task or joining
@@ -24,6 +31,12 @@
 #include "dynsched/util/thread_annotations.hpp"
 
 namespace dynsched::util {
+
+/// The CPU a pool's index-th worker starts on: `allowed` (ascending,
+/// non-empty) taken in order from the first CPU above `creatorCpu`, wrapping
+/// around, so the creator's own CPU comes last.
+int workerStartCpu(const std::vector<int>& allowed, int creatorCpu,
+                   unsigned index);
 
 class ThreadPool {
  public:

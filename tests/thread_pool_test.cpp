@@ -9,6 +9,8 @@
 #include <thread>
 #include <vector>
 
+#include <sched.h>
+
 #include <gtest/gtest.h>
 
 #include "dynsched/util/error.hpp"
@@ -153,6 +155,40 @@ TEST(ThreadPool, ParallelForSurvivesConcurrentUse) {
   }
   for (auto& thread : drivers) thread.join();
   EXPECT_EQ(total.load(), 200);
+}
+
+TEST(ThreadPool, WorkersStartAfterTheCreatorsCpu) {
+  const std::vector<int> four{0, 1, 2, 3};
+  // A pool made on CPU 1 puts its workers on 2, 3, 0, then back on 1.
+  EXPECT_EQ(workerStartCpu(four, 1, 0), 2);
+  EXPECT_EQ(workerStartCpu(four, 1, 1), 3);
+  EXPECT_EQ(workerStartCpu(four, 1, 2), 0);
+  EXPECT_EQ(workerStartCpu(four, 1, 3), 1);
+  EXPECT_EQ(workerStartCpu(four, 1, 4), 2);
+  // Gaps in the allowed set, and a creator outside it or unknown (-1).
+  const std::vector<int> sparse{2, 5, 7};
+  EXPECT_EQ(workerStartCpu(sparse, 5, 0), 7);
+  EXPECT_EQ(workerStartCpu(sparse, 6, 0), 7);
+  EXPECT_EQ(workerStartCpu(sparse, 7, 0), 2);
+  EXPECT_EQ(workerStartCpu(sparse, -1, 0), 2);
+  EXPECT_EQ(workerStartCpu(std::vector<int>{3}, 3, 5), 3);
+}
+
+TEST(ThreadPool, WorkersAreNotLeftPinned) {
+  // A worker moves to its start CPU and then gets back every CPU its
+  // creator may use.
+  cpu_set_t creator;
+  CPU_ZERO(&creator);
+  ASSERT_EQ(sched_getaffinity(0, sizeof creator, &creator), 0);
+  ThreadPool pool(4);
+  std::vector<int> same(8, 0);
+  pool.parallelFor(same.size(), [&](std::size_t i) {
+    cpu_set_t worker;
+    CPU_ZERO(&worker);
+    same[i] = sched_getaffinity(0, sizeof worker, &worker) == 0 &&
+              CPU_EQUAL(&worker, &creator);
+  });
+  EXPECT_EQ(same, std::vector<int>(8, 1));
 }
 
 }  // namespace
