@@ -129,7 +129,6 @@ void BM_TimeIndexedMip(benchmark::State& state) {
   const tip::Grid grid = tip::makeGrid(inst);
   const tip::TipModel model = tip::buildModel(inst, grid);
   mip::MipOptions options;
-  options.objectiveIsIntegral = true;
   options.branchGroups = model.jobColumns;
   options.timeLimitSeconds = 30;
   for (auto _ : state) {
@@ -152,7 +151,6 @@ void BM_GroupBranchingAblation(benchmark::State& state) {
   const tip::Grid grid = tip::makeGrid(inst);
   const tip::TipModel model = tip::buildModel(inst, grid);
   mip::MipOptions options;
-  options.objectiveIsIntegral = true;
   options.timeLimitSeconds = 60;
   options.coverCutRounds = 0;
   if (state.range(0) == 1) options.branchGroups = model.jobColumns;

@@ -4,19 +4,7 @@ baseline (BENCH_exact.json) and fail on regressions.
 
 Usage: bench_check.py BASELINE CURRENT [CURRENT...] [--tolerance 0.20]
                                        [--time-tolerance 0.50]
-       bench_check.py --serve BASELINE CURRENT [--time-tolerance 0.50]
        bench_check.py --self-test
-
-With --serve the reports come from bench_serve_throughput (BENCH_serve.json)
-and the gate switches to the serving-layer invariants:
-  * zero errors, server-side and client-side;
-  * every issued request reached exactly one final outcome
-    (issued == ok + shedFinal + errorsFinal);
-  * answer accounting balances (completed == accepted + cacheHits);
-  * the shed rate stays under the report's own thresholds.maxShedRate;
-  * p99 latency is gated (absolute threshold + growth vs the baseline)
-    only when the host block matches — cross-host timings are skipped
-    loudly, the invariants above still gate.
 
 What is gated, and why:
   * Deterministic counters (total B&B nodes for the scaled ILP and the order
@@ -217,90 +205,6 @@ def compare(base, replays, tolerance, time_tolerance):
     return failures, notes
 
 
-def serve_compare(base, cur, time_tolerance):
-    """Serving-layer gate (--serve). Returns (failures, notes); raises
-    UsageError on config/bench mismatch."""
-    for report, name in ((base, "baseline"), (cur, "current")):
-        if report.get("bench") != "bench_serve_throughput":
-            raise UsageError(
-                f"wrong bench in {name} report",
-                f"expected bench_serve_throughput, got {report.get('bench')!r}")
-    if base.get("config") != cur.get("config"):
-        raise UsageError(
-            "config mismatch",
-            f"baseline {base.get('config')} vs current {cur.get('config')}; "
-            "rerun the bench with the baseline's pinned scenario")
-
-    totals = cur.get("totals", {})
-    thresholds = cur.get("thresholds", {})
-    failures = []
-    notes = []
-
-    def total(key):
-        value = totals.get(key)
-        if value is None:
-            failures.append(f"{key}: missing from report")
-            return 0
-        return value
-
-    issued = total("issued")
-    ok = total("ok")
-    shed_final = total("shedFinal")
-    errors_final = total("errorsFinal")
-    accepted = total("accepted")
-    completed = total("completed")
-    cache_hits = total("cacheHits")
-    errors = total("errors")
-
-    if errors or errors_final:
-        failures.append(
-            f"errors: server {errors}, client-final {errors_final} — the "
-            "serve path must be error-free")
-    if issued != ok + shed_final + errors_final:
-        failures.append(
-            f"outcome accounting: issued {issued} != ok {ok} + shed "
-            f"{shed_final} + errors {errors_final} — a request was dropped "
-            "or double-counted")
-    else:
-        notes.append(f"outcomes: {issued} issued -> {ok} ok, "
-                     f"{shed_final} shed, {errors_final} errors")
-    if not errors and completed != accepted + cache_hits:
-        failures.append(
-            f"answer accounting: completed {completed} != accepted "
-            f"{accepted} + cacheHits {cache_hits}")
-    else:
-        notes.append(f"answers: {accepted} solved + {cache_hits} replayed "
-                     f"= {completed} completed")
-
-    shed_rate = cur.get("shedRate", 0.0)
-    max_shed = thresholds.get("maxShedRate")
-    if max_shed is None:
-        failures.append("thresholds.maxShedRate: missing from report")
-    elif shed_rate > max_shed:
-        failures.append(f"shedRate {shed_rate:.3f} exceeds the report's "
-                        f"maxShedRate {max_shed:.3f}")
-    else:
-        notes.append(f"shedRate {shed_rate:.3f} (max {max_shed:.3f})")
-
-    if base.get("host") == cur.get("host"):
-        p99 = cur.get("latency", {}).get("p99Ms", 0.0)
-        base_p99 = base.get("latency", {}).get("p99Ms", 0.0)
-        max_p99 = thresholds.get("maxP99Ms")
-        if max_p99 is not None and p99 > max_p99:
-            failures.append(f"p99 {p99:.1f}ms exceeds maxP99Ms {max_p99:.1f}ms")
-        elif base_p99 and (p99 - base_p99) / base_p99 > time_tolerance:
-            failures.append(
-                f"p99 {base_p99:.1f}ms -> {p99:.1f}ms exceeds "
-                f"+{time_tolerance:.0%}")
-        else:
-            notes.append(f"p99 {base_p99:.1f}ms -> {p99:.1f}ms")
-    else:
-        notes.append(f"host differs ({base.get('host')} vs {cur.get('host')})"
-                     " — latency gate skipped, invariants still gate")
-
-    return failures, notes
-
-
 # --- self-test ---------------------------------------------------------------
 
 def _report(counters=None, alloc=None, config="pinned", host="h1",
@@ -318,21 +222,6 @@ def _report(counters=None, alloc=None, config="pinned", host="h1",
     if schema is not None:
         report["schemaVersion"] = schema
     return report
-
-
-def _serve_report(totals=None, shed_rate=0.0, p99=500.0, host="h1",
-                  thresholds=None):
-    base_totals = {"issued": 30, "ok": 30, "shedFinal": 0, "errorsFinal": 0,
-                   "accepted": 15, "completed": 30, "cacheHits": 15,
-                   "shed": 2, "errors": 0, "seconds": 10.0,
-                   "requestsPerSecond": 3.0}
-    base_totals.update(totals or {})
-    return {"bench": "bench_serve_throughput", "schemaVersion": 1,
-            "config": {"requests": 30}, "host": host, "totals": base_totals,
-            "latency": {"p50Ms": 100.0, "p99Ms": p99},
-            "rungHistogram": [15, 0, 0, 0], "shedRate": shed_rate,
-            "thresholds": thresholds or {"maxShedRate": 0.25,
-                                         "maxP99Ms": 60000}}
 
 
 def self_test():
@@ -446,45 +335,6 @@ def self_test():
             check("future schemaVersion is a structured error",
                   "unsupported schema" in error.what)
 
-    serve_base = _serve_report()
-    check("serve: healthy report passes",
-          serve_compare(serve_base, copy.deepcopy(serve_base), 0.50)[0] == [])
-
-    erred = _serve_report(totals={"errors": 1})
-    check("serve: server errors fail",
-          any("error-free" in f
-              for f in serve_compare(serve_base, erred, 0.50)[0]))
-
-    dropped = _serve_report(totals={"ok": 29})
-    check("serve: a dropped request fails outcome accounting",
-          any("outcome accounting" in f
-              for f in serve_compare(serve_base, dropped, 0.50)[0]))
-
-    unbalanced = _serve_report(totals={"cacheHits": 14})
-    check("serve: answer accounting imbalance fails",
-          any("answer accounting" in f
-              for f in serve_compare(serve_base, unbalanced, 0.50)[0]))
-
-    shedding = _serve_report(shed_rate=0.40)
-    check("serve: shed rate above threshold fails",
-          any("maxShedRate" in f
-              for f in serve_compare(serve_base, shedding, 0.50)[0]))
-
-    slow = _serve_report(p99=900.0)
-    check("serve: p99 growth on a matching host fails",
-          any("p99" in f for f in serve_compare(serve_base, slow, 0.50)[0]))
-
-    other_host = _serve_report(p99=900.0, host="h2")
-    failures, notes = serve_compare(serve_base, other_host, 0.50)
-    check("serve: host mismatch skips the latency gate with a note",
-          failures == [] and any("latency gate skipped" in n for n in notes))
-
-    try:
-        serve_compare(serve_base, _report(), 0.50)
-        check("serve: a non-serve report raises", False)
-    except UsageError:
-        check("serve: a non-serve report raises", True)
-
     failed = [name for name, ok in checks if not ok]
     if failed:
         print(f"bench_check self-test: {len(failed)}/{len(checks)} FAILED",
@@ -500,36 +350,28 @@ def main():
     parser.add_argument("baseline", nargs="?")
     parser.add_argument("current", nargs="*",
                         help="one report, or several replays of the "
-                             "scenario (not with --serve)")
+                             "scenario")
     parser.add_argument("--tolerance", type=float, default=0.20,
                         help="allowed relative counter growth (default 0.20)")
     parser.add_argument("--time-tolerance", type=float, default=0.50,
                         help="allowed relative wall-clock growth on a "
                              "matching host (default 0.50)")
-    parser.add_argument("--serve", action="store_true",
-                        help="gate bench_serve_throughput reports instead")
     parser.add_argument("--self-test", action="store_true",
                         help="run the built-in checks and exit")
     args = parser.parse_args()
 
     if args.self_test:
         return self_test()
-    if (not args.baseline or not args.current
-            or (args.serve and len(args.current) != 1)):
+    if not args.baseline or not args.current:
         print("bench_check: ERROR usage: bench_check.py BASELINE CURRENT "
-              "[CURRENT...] (one CURRENT with --serve; or --self-test)",
-              file=sys.stderr)
+              "[CURRENT...] (or --self-test)", file=sys.stderr)
         return 2
 
     try:
         base = load(args.baseline)
         replays = [load(path) for path in args.current]
-        if args.serve:
-            failures, notes = serve_compare(base, replays[0],
-                                            args.time_tolerance)
-        else:
-            failures, notes = compare(base, replays, args.tolerance,
-                                      args.time_tolerance)
+        failures, notes = compare(base, replays, args.tolerance,
+                                  args.time_tolerance)
     except UsageError as error:
         print(f"bench_check: ERROR {error.what}: {error.detail}",
               file=sys.stderr)

@@ -16,11 +16,14 @@
 # run with a graceful SIGTERM drain, a journal-resume replay that must diff
 # byte-identical, a five-kind fault soak that must still answer every
 # request, a kill matrix (SIGKILL-equivalent exit 137 right after answer N,
-# then resume), and the bench_serve_throughput accounting gate against the
-# committed BENCH_serve.json.
+# then resume), and a 10-second run of the benchmark's serve-mix workload
+# (perfbench/run.py), which must pass every check and fail no operation.
 #
 # Usage: scripts/check.sh [--jobs N] [--rebaseline-bench]
 #          [--skip asan|tsan|tidy|wsafety|lint|fuzz|faults|kill|serve|bench]...
+#
+# --rebaseline-bench copies the fastest bench replay over BENCH_exact.json,
+# the one committed baseline; the serve leg has none to refresh.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -224,12 +227,12 @@ if ! skip serve; then
   # Serving layer end to end. All requests are node-limited (never
   # wall-clock-limited) — same determinism rationale as the kill matrix:
   # replayed and re-solved answers must diff byte-identical.
-  echo "=== [serve] build server, client, and throughput bench ==="
+  echo "=== [serve] build server and client ==="
   cmake -B build-plain -S . "${PLAIN_FLAGS[@]}" > build-plain.cmake.log 2>&1 \
     || { cat build-plain.cmake.log; FAILED="$FAILED serve"; }
   if [[ " $FAILED " != *" serve "* ]]; then
     cmake --build build-plain -j "$JOBS" --target \
-        dynsched_server dynsched_client bench_serve_throughput \
+        dynsched_server dynsched_client \
       || FAILED="$FAILED serve"
   fi
   if [[ " $FAILED " != *" serve "* ]]; then
@@ -313,18 +316,22 @@ if ! skip serve; then
     fi
 
     if [[ " $FAILED " != *" serve "* ]]; then
-      echo "=== [serve] bench_serve_throughput accounting gate ==="
-      if build-plain/bench/bench_serve_throughput \
-          --socket "$SERVE_DIR/bench.sock" \
-          --json build-plain/BENCH_serve.current.json > /dev/null; then
-        if [[ "$REBASELINE_BENCH" -eq 1 ]]; then
-          cp build-plain/BENCH_serve.current.json BENCH_serve.json
-          echo "serve: BENCH_serve.json rebaselined; review and commit it"
-        else
-          python3 scripts/bench_check.py --serve BENCH_serve.json \
-              build-plain/BENCH_serve.current.json || FAILED="$FAILED serve"
-        fi
+      # The benchmark's serve-mix workload: a journaled in-process server
+      # under an open-loop stream and closed-loop bursts. Its checks compare
+      # every served answer with a direct solve, allow one answer text per
+      # fingerprint and one journal answer per solve, validate every
+      # schedule, and allow no error and no shed; run.py exits non-zero when
+      # one fails. A late or failed request counts in "failed".
+      echo "=== [serve] perfbench serve-mix (10 s) ==="
+      if python3 perfbench/run.py --workload serve-mix --seed 1 \
+          --seconds 10 --trace 0 > "$SERVE_DIR/serve-mix.out"; then
+        tail -n 1 "$SERVE_DIR/serve-mix.out"
+        tail -n 1 "$SERVE_DIR/serve-mix.out" | python3 -c 'import json, sys
+failed = json.load(sys.stdin)["failed"]
+sys.exit(0 if failed == 0 else "serve: serve-mix failed %d requests" % failed)' \
+          || FAILED="$FAILED serve"
       else
+        cat "$SERVE_DIR/serve-mix.out"
         FAILED="$FAILED serve"
       fi
     fi

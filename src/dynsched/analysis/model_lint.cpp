@@ -23,7 +23,7 @@ std::atomic<std::uint64_t> gFailed{0};
 /// Warn when maxAbsCoefficient / minAbsCoefficient exceeds this.
 constexpr double kConditioningRatio = 1e8;
 /// Warn when |c_j| exceeds this (2^53: doubles stop being exact integers,
-/// breaking MipOptions::objectiveIsIntegral bound rounding).
+/// breaking the MIP's integral-objective bound rounding).
 constexpr double kExactIntegerLimit = 9007199254740992.0;
 /// Findings of one kind beyond this cap are counted, not materialized.
 constexpr std::size_t kMaxFindingsPerKind = 16;

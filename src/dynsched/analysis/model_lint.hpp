@@ -14,8 +14,9 @@
 //     builder (feasible by construction), warnings for general models the
 //     solver is expected to reject itself;
 //   - numerical smells (coefficient-range conditioning, objective weights
-//     beyond the 2^53 exact-integer range that objectiveIsIntegral rounding
-//     relies on, duplicate/dominated columns, empty rows) — warnings/infos.
+//     beyond the 2^53 exact-integer range that the MIP's integral-objective
+//     bound rounding relies on, duplicate/dominated columns, empty rows) —
+//     warnings/infos.
 //
 // Enforcement follows the audit layer: under an enabled DYNSCHED_AUDIT,
 // error findings throw AuditError naming the producing site; otherwise the

@@ -5,7 +5,6 @@
 #include "dynsched/core/schedule.hpp"
 #include "dynsched/util/checked.hpp"
 #include "dynsched/util/error.hpp"
-#include "dynsched/util/strings.hpp"
 
 namespace dynsched::core {
 
@@ -33,20 +32,6 @@ const char* metricName(MetricKind metric) {
     case MetricKind::Utilization: return "util";
   }
   return "?";
-}
-
-MetricKind parseMetric(const std::string& name) {
-  const std::string lower = util::toLower(name);
-  if (lower == "art") return MetricKind::AvgResponseTime;
-  if (lower == "artww") return MetricKind::ArtWW;
-  if (lower == "awt") return MetricKind::AvgWaitTime;
-  if (lower == "sld") return MetricKind::AvgSlowdown;
-  if (lower == "sldwa") return MetricKind::SldWA;
-  if (lower == "bsld") return MetricKind::BoundedSlowdown;
-  if (lower == "makespan") return MetricKind::Makespan;
-  if (lower == "util" || lower == "utilization")
-    return MetricKind::Utilization;
-  DYNSCHED_CHECK_MSG(false, "unknown metric '" << name << "'");
 }
 
 bool metricFromIndex(std::uint8_t index, MetricKind& metric) {

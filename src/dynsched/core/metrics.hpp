@@ -6,8 +6,6 @@
 // Table 1 comparison uses the average slowdown weighted by job area (SLDwA).
 #pragma once
 
-#include <string>
-
 #include "dynsched/util/types.hpp"
 
 namespace dynsched::core {
@@ -29,7 +27,6 @@ enum class MetricKind {
 inline constexpr int kMetricKinds = 8;
 
 const char* metricName(MetricKind metric);
-MetricKind parseMetric(const std::string& name);
 
 /// Validated u8 → MetricKind conversion (wire/journal payloads serialize
 /// metrics as one byte). Returns false on an out-of-range value.

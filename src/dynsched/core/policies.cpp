@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <tuple>
 
-#include "dynsched/util/error.hpp"
-#include "dynsched/util/strings.hpp"
-
 namespace dynsched::core {
 
 const char* policyName(PolicyKind policy) {
@@ -17,16 +14,6 @@ const char* policyName(PolicyKind policy) {
     case PolicyKind::Laf: return "LAF";
   }
   return "?";
-}
-
-PolicyKind parsePolicy(const std::string& name) {
-  const std::string lower = util::toLower(name);
-  if (lower == "fcfs") return PolicyKind::Fcfs;
-  if (lower == "sjf") return PolicyKind::Sjf;
-  if (lower == "ljf") return PolicyKind::Ljf;
-  if (lower == "saf") return PolicyKind::Saf;
-  if (lower == "laf") return PolicyKind::Laf;
-  DYNSCHED_CHECK_MSG(false, "unknown policy '" << name << "'");
 }
 
 bool policyFromIndex(std::uint8_t index, PolicyKind& policy) {

@@ -6,7 +6,6 @@
 #pragma once
 
 #include <array>
-#include <string>
 #include <vector>
 
 #include "dynsched/core/job.hpp"
@@ -33,9 +32,6 @@ inline constexpr std::array<PolicyKind, 5> kExtendedPolicies = {
     PolicyKind::Laf};
 
 const char* policyName(PolicyKind policy);
-
-/// Parses "fcfs"/"sjf"/"ljf" (case-insensitive). Throws on unknown names.
-PolicyKind parsePolicy(const std::string& name);
 
 /// Validated u8 → PolicyKind conversion (the journal serializes policies as
 /// one byte). Returns false on an out-of-range value.

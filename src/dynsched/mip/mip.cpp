@@ -68,6 +68,21 @@ std::size_t inverseBytes(const lp::LpBasis& basis) {
   return basis.inverse.size() * sizeof(double);
 }
 
+/// True when every integer point has an integral objective value: each
+/// column with a nonzero cost is an integer column whose cost is an
+/// integer (true for the time-indexed model). A node's LP bound may then
+/// round up to the next integer.
+bool hasIntegralObjective(const MipModel& model) {
+  for (int j = 0; j < model.lp.numVariables(); ++j) {
+    const double cost = model.lp.objectiveCoef(j);
+    if (cost != 0 && (!model.integer[static_cast<std::size_t>(j)] ||
+                      cost != std::floor(cost))) {
+      return false;
+    }
+  }
+  return true;
+}
+
 struct Node {
   long id = 0;
   double bound = -lp::kInf;            ///< parent LP objective (lower bound)
@@ -89,6 +104,7 @@ class BranchAndBound {
       : model_(model), opts_(options), work_(model.lp) {
     DYNSCHED_CHECK(model_.integer.size() ==
                    static_cast<std::size_t>(model_.lp.numVariables()));
+    integralObjective_ = hasIntegralObjective(model_);
     colGroup_.assign(static_cast<std::size_t>(model_.lp.numVariables()), -1);
     for (std::size_t g = 0; g < opts_.branchGroups.size(); ++g) {
       for (const int col : opts_.branchGroups[g]) {
@@ -123,6 +139,7 @@ class BranchAndBound {
   const MipOptions& opts_;
   lp::LpModel work_;  ///< working copy whose bounds are rewritten per node
   std::vector<int> colGroup_;  ///< per column: branch-group index or -1
+  bool integralObjective_ = false;  ///< see hasIntegralObjective
   int cutRoundsUsed_ = 0;
   /// Bytes of the inverses held by open nodes' bases (kParkedInverseBytes).
   std::size_t parkedBytes_ = 0;
@@ -267,7 +284,7 @@ lp::LpSolution BranchAndBound::solveNode(Node& node) {
 double BranchAndBound::tightenBound(double bound) const {
   // With an integral objective, any integer point costs at least the next
   // integer above a fractional LP bound.
-  if (!opts_.objectiveIsIntegral) return bound;
+  if (!integralObjective_) return bound;
   return std::ceil(bound - 1e-6);
 }
 

@@ -96,9 +96,6 @@ struct MipOptions {
   /// the cover-cut separation poll it too, so the budget it carries bounds
   /// the whole solve — including a single degenerate node LP.
   util::CancelToken* cancel = nullptr;
-  /// Objective value of every integer point is an integer (true for the
-  /// time-indexed model, whose costs are integral); lets bounds round up.
-  bool objectiveIsIntegral = false;
   /// Called with each node's fractional LP point; may return an integer
   /// feasible candidate (it is validated before acceptance).
   std::function<std::optional<std::vector<double>>(
@@ -121,6 +118,10 @@ struct MipOptions {
   std::vector<std::vector<int>> branchGroups;
 };
 
+/// Minimizes `model`. When every column with a nonzero cost is an integer
+/// column with an integral cost, every integer point's objective is an
+/// integer, so each node's LP bound rounds up to the next integer; the
+/// solver reads that from the model.
 MipResult solveMip(const MipModel& model, const MipOptions& options = {});
 
 }  // namespace dynsched::mip

@@ -7,6 +7,7 @@
 #include "dynsched/core/decider.hpp"
 #include "dynsched/sim/simulator.hpp"
 #include "dynsched/tip/request_adapter.hpp"
+#include "dynsched/tip/time_scaling.hpp"
 #include "dynsched/util/error.hpp"
 #include "dynsched/util/logging.hpp"
 #include "dynsched/util/timer.hpp"
@@ -78,11 +79,11 @@ std::uint64_t SchedulerService::configFingerprint() const {
   w.boolean(options_.solve.warmStart);
   w.boolean(options_.solve.roundingHeuristic);
   w.i64(options_.solve.forcedTimeScale);
-  w.f64(options_.solve.scaling.bytesPerEntry);
+  w.f64(tip::kBytesPerEntry);
   w.u64(options_.solve.scaling.totalMemoryBytes);
-  w.f64(options_.solve.scaling.solverOverheadFactor);
-  w.i64(options_.solve.scaling.roundToSeconds);
-  w.i64(options_.solve.scaling.minScale);
+  w.f64(tip::kSolverOverheadFactor);
+  w.i64(tip::kRoundToSeconds);
+  w.i64(tip::kMinScale);
   w.f64(options_.solve.budget.wallSeconds);
   w.i64(options_.solve.budget.maxNodes);
   w.i64(options_.solve.budget.maxLpIterations);

@@ -73,11 +73,11 @@ std::uint64_t studyFingerprint(const std::vector<sim::StepSnapshot>& snapshots,
   w.boolean(options.warmStart);
   w.boolean(options.roundingHeuristic);
   w.i64(options.forcedTimeScale);
-  w.f64(options.scaling.bytesPerEntry);
+  w.f64(kBytesPerEntry);
   w.u64(options.scaling.totalMemoryBytes);
-  w.f64(options.scaling.solverOverheadFactor);
-  w.i64(options.scaling.roundToSeconds);
-  w.i64(options.scaling.minScale);
+  w.f64(kSolverOverheadFactor);
+  w.i64(kRoundToSeconds);
+  w.i64(kMinScale);
   w.f64(options.budget.wallSeconds);
   w.i64(options.budget.maxNodes);
   w.i64(options.budget.maxLpIterations);
@@ -86,7 +86,6 @@ std::uint64_t studyFingerprint(const std::vector<sim::StepSnapshot>& snapshots,
   w.f64(options.mip.timeLimitSeconds);
   w.f64(mip::kRelGapTol);
   w.f64(mip::kIntegralityTol);
-  w.boolean(options.mip.objectiveIsIntegral);
   w.i64(options.mip.coverCutRounds);
   w.i64(mip::kMaxCoverCutsPerRound);
   return util::fnv1a64(w.bytes().data(), w.bytes().size());
@@ -382,8 +381,10 @@ StudyAverages averageRows(const std::vector<StudyRow>& rows) {
     avg.makespan += static_cast<double>(row.makespan);
     avg.accRuntime += static_cast<double>(row.accRuntime);
     avg.timeScale += static_cast<double>(row.timeScale);
-    avg.quality += row.quality;
-    avg.perfLossPct += row.perfLossPct;
+    if (row.rung != SolveRung::PolicyFallback) {
+      avg.quality += row.quality;
+      avg.perfLossPct += row.perfLossPct;
+    }
     avg.solveSeconds += row.solveSeconds;
     ++avg.rungCounts[static_cast<std::size_t>(solveRungIndex(row.rung))];
     if (row.stopReason != util::CancelReason::None &&
@@ -396,8 +397,13 @@ StudyAverages averageRows(const std::vector<StudyRow>& rows) {
   avg.makespan /= n;
   avg.accRuntime /= n;
   avg.timeScale /= n;
-  avg.quality /= n;
-  avg.perfLossPct /= n;
+  const std::size_t answered =
+      rows.size() - avg.rungCounts[static_cast<std::size_t>(
+                        solveRungIndex(SolveRung::PolicyFallback))];
+  if (answered > 0) {
+    avg.quality /= static_cast<double>(answered);
+    avg.perfLossPct /= static_cast<double>(answered);
+  }
   avg.solveSeconds /= n;
   return avg;
 }

@@ -84,6 +84,9 @@ struct StudyAverages {
   double makespan = 0;
   double accRuntime = 0;
   double timeScale = 0;
+  /// Over the rows with an ILP answer only: a policy-fallback row returns
+  /// the policy's own schedule, so its quality of 1 measures nothing. Both
+  /// read 0 when every row fell back.
   double quality = 0;
   double perfLossPct = 0;
   double solveSeconds = 0;

@@ -165,7 +165,6 @@ mip::MipOptions makeMipOptions(const TipModel& model,
                                const TipInstance& instance, const Grid& grid,
                                mip::MipOptions base,
                                const core::Schedule* warmStart) {
-  base.objectiveIsIntegral = true;
   base.branchGroups = model.jobColumns;  // SOS1 over start slots
   base.roundingHeuristic = [&model, &instance,
                             &grid](const std::vector<double>& x) {
@@ -239,7 +238,7 @@ SupervisedResult supervisedBestSchedule(const sim::StepSnapshot& snapshot,
     // straight to the coarsened grid.
     const double estimate =
         estimateProblemBytes(makespan, accRuntime, snapshot.waiting.size(),
-                             instance.timeScale, options.scaling);
+                             instance.timeScale);
     if (token.overMemory(estimate)) {
       prov << "memory estimate " << static_cast<std::uint64_t>(estimate)
            << " bytes over cap at scale " << instance.timeScale;

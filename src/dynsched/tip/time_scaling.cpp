@@ -9,7 +9,7 @@
 namespace dynsched::tip {
 
 double estimateProblemBytes(Time makespan, Time accRuntime, std::size_t jobs,
-                            Time scale, const TimeScalingParams& params) {
+                            Time scale) {
   DYNSCHED_CHECK(makespan > 0 && scale > 0);
   // memory ≈ (makespan/scale)² · jobs · (accRuntime/makespan) · x — see the
   // header comment; computeTimeScale() is this model solved for `scale`.
@@ -18,7 +18,7 @@ double estimateProblemBytes(Time makespan, Time accRuntime, std::size_t jobs,
   const double density = static_cast<double>(accRuntime) /
                          static_cast<double>(makespan);
   return slots * slots * static_cast<double>(jobs) * density *
-         params.bytesPerEntry;
+         kBytesPerEntry;
 }
 
 Time computeTimeScale(Time makespan, Time accRuntime, std::size_t jobs,
@@ -27,21 +27,21 @@ Time computeTimeScale(Time makespan, Time accRuntime, std::size_t jobs,
   DYNSCHED_CHECK(accRuntime >= 0);
   DYNSCHED_CHECK(jobs > 0);
   const double budget = static_cast<double>(params.totalMemoryBytes) /
-                        params.solverOverheadFactor;
+                        kSolverOverheadFactor;
   // Eq. 6: scale = sqrt(makespan · jobs · accRuntime · x / budget).
   const double raw = std::sqrt(static_cast<double>(makespan) *
                                static_cast<double>(jobs) *
                                static_cast<double>(accRuntime) *
-                               params.bytesPerEntry / budget);
-  Time scale = std::max<Time>(params.minScale,
-                              static_cast<Time>(std::ceil(raw)));
-  // Round up to the next full multiple (full minutes by default) so the
-  // grids of successive steps stay comparable.
-  const Time r = std::max<Time>(1, params.roundToSeconds);
+                               kBytesPerEntry / budget);
+  Time scale = std::max<Time>(kMinScale, static_cast<Time>(std::ceil(raw)));
+  // Round up to full minutes so the grids of successive steps stay
+  // comparable.
   if (scale > 1) {
-    scale = util::checkedMul<Time>(util::checkedAdd<Time>(scale, r - 1) / r, r);
+    scale = util::checkedMul<Time>(
+        util::checkedAdd<Time>(scale, kRoundToSeconds - 1) / kRoundToSeconds,
+        kRoundToSeconds);
   }
-  return std::max<Time>(scale, params.minScale);
+  return scale;
 }
 
 }  // namespace dynsched::tip

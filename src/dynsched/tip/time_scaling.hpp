@@ -23,12 +23,18 @@
 
 namespace dynsched::tip {
 
+/// Eq. 6's fixed constants. tip::studyFingerprint and the server's config
+/// fingerprint record them, so editing one invalidates the journals written
+/// under the old value.
+inline constexpr double kBytesPerEntry = 102.4;  ///< x ≈ 0.1 KB
+/// The budget is the machine's memory divided by this.
+inline constexpr double kSolverOverheadFactor = 4.0;
+/// "rounded up to the next 60 seconds"
+inline constexpr Time kRoundToSeconds = 60;
+inline constexpr Time kMinScale = 1;
+
 struct TimeScalingParams {
-  double bytesPerEntry = 102.4;  ///< x ≈ 0.1 KB (paper's initial testing)
   std::uint64_t totalMemoryBytes = 8ULL << 30;  ///< the paper's 8 GB server
-  double solverOverheadFactor = 4.0;  ///< budget = total / this
-  Time roundToSeconds = 60;           ///< "rounded up to the next 60 seconds"
-  Time minScale = 1;
 };
 
 /// Computes the time scale for one quasi-offline instance.
@@ -38,9 +44,9 @@ struct TimeScalingParams {
 Time computeTimeScale(Time makespan, Time accRuntime, std::size_t jobs,
                       const TimeScalingParams& params = {});
 
-/// The memory-model estimate for a given scale (bytes); exposed for tests
-/// and for reporting the predicted instance size.
+/// The memory-model estimate for a given scale (bytes); the supervised
+/// ladder checks it against the budget's memory cap.
 double estimateProblemBytes(Time makespan, Time accRuntime, std::size_t jobs,
-                            Time scale, const TimeScalingParams& params = {});
+                            Time scale);
 
 }  // namespace dynsched::tip

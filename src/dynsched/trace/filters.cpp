@@ -47,20 +47,6 @@ SwfTrace head(const SwfTrace& input, std::size_t count) {
   return out;
 }
 
-SwfTrace timeWindow(const SwfTrace& input, Time begin, Time end) {
-  DYNSCHED_CHECK(begin <= end);
-  SwfTrace out = input;
-  out.jobs().clear();
-  JobId next = 1;
-  for (SwfJob job : input.jobs()) {
-    if (job.submitTime < begin || job.submitTime >= end) continue;
-    job.submitTime -= begin;
-    job.jobNumber = next++;
-    out.jobs().push_back(job);
-  }
-  return out;
-}
-
 SwfTrace normalize(const SwfTrace& input) {
   SwfTrace out = input;
   std::stable_sort(out.jobs().begin(), out.jobs().end(),

@@ -42,10 +42,6 @@ SwfTrace clean(const SwfTrace& input, const CleanOptions& options,
 /// Keeps the first `count` jobs (by file order).
 SwfTrace head(const SwfTrace& input, std::size_t count);
 
-/// Keeps jobs with submitTime in [begin, end); shifts submit times so the
-/// slice starts at 0. Job numbers are reassigned 1..n.
-SwfTrace timeWindow(const SwfTrace& input, Time begin, Time end);
-
 /// Sorts by submit time (stable) and renumbers jobs 1..n.
 SwfTrace normalize(const SwfTrace& input);
 

@@ -1,7 +1,6 @@
 #include "dynsched/util/rng.hpp"
 
 #include <cmath>
-#include <numbers>
 
 namespace dynsched::util {
 
@@ -65,13 +64,6 @@ double Rng::exponential(double rate) {
   DYNSCHED_CHECK(rate > 0);
   // 1 - uniform() is in (0,1], so the log is finite.
   return -std::log(1.0 - uniform()) / rate;
-}
-
-double Rng::normal(double mean, double stddev) {
-  const double u1 = 1.0 - uniform();  // (0,1]
-  const double u2 = uniform();
-  const double r = std::sqrt(-2.0 * std::log(u1));
-  return mean + stddev * r * std::cos(2.0 * std::numbers::pi * u2);
 }
 
 double Rng::logUniform(double lo, double hi) {

@@ -36,10 +36,6 @@ class Rng {
   /// Exponential with the given rate (mean = 1/rate).
   double exponential(double rate);
 
-  /// Normal(mean, stddev) via Box-Muller (no cached spare: reproducibility
-  /// is simpler when every call consumes a fixed number of uniforms).
-  double normal(double mean, double stddev);
-
   /// Log-uniform over [lo, hi], lo > 0: exp(Uniform(ln lo, ln hi)).
   double logUniform(double lo, double hi);
 

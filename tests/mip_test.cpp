@@ -119,11 +119,41 @@ TEST(Mip, NodeLimitReportsGap) {
 
 TEST(Mip, ObjectiveIntegralTighteningStillCorrect) {
   const MipModel m = knapsack({10, 13, 7, 11}, {5, 6, 4, 5}, 10);
-  MipOptions options;
-  options.objectiveIsIntegral = true;
-  const MipResult r = solveMip(m, options);
+  const MipResult r = solveMip(m);
   ASSERT_EQ(r.status, MipStatus::Optimal);
   EXPECT_NEAR(r.objective, -21.0, kTol);
+}
+
+TEST(Mip, FractionalCostIsNotRoundedAway) {
+  // One binary of cost -0.5 with the warm start x = 0. Rounding the root
+  // bound -0.5 up to 0 would prune the root and return 0 as optimal.
+  MipModel m;
+  const int x = m.addIntegerVariable(0, 1, -0.5);
+  m.lp.addRow(-lp::kInf, 1.0, {{x, 1.0}});
+  MipOptions options;
+  options.warmStart = std::vector<double>{0.0};
+  const MipResult r = solveMip(m, options);
+  ASSERT_EQ(r.status, MipStatus::Optimal);
+  EXPECT_NEAR(r.objective, -0.5, kTol);
+  EXPECT_EQ(r.x, std::vector<double>{1.0});
+}
+
+TEST(Mip, IntegralCostsRoundTheBound) {
+  // The LP bound -21.83 rounds up to -21, the warm start's value, so the
+  // root is pruned. Halved costs are not integral: the same search must
+  // branch to prove -10.5.
+  const MipModel whole = knapsack({10, 13, 7, 11}, {5, 6, 4, 5}, 10);
+  const MipModel halved = knapsack({5, 6.5, 3.5, 5.5}, {5, 6, 4, 5}, 10);
+  MipOptions options;
+  options.warmStart = std::vector<double>{1, 0, 0, 1};
+  const MipResult a = solveMip(whole, options);
+  const MipResult b = solveMip(halved, options);
+  ASSERT_EQ(a.status, MipStatus::Optimal);
+  ASSERT_EQ(b.status, MipStatus::Optimal);
+  EXPECT_NEAR(a.objective, -21.0, kTol);
+  EXPECT_NEAR(b.objective, -10.5, kTol);
+  EXPECT_EQ(a.nodes, 1);
+  EXPECT_GT(b.nodes, a.nodes);
 }
 
 TEST(Mip, RoundingHeuristicFindsIncumbents) {

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <latch>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -442,6 +443,75 @@ TEST(SchedulerServiceTest, ResumeRejectsAJournalFromAnotherConfiguration) {
   mismatched.journal.resume = true;
   mismatched.defaultMaxNodes = 77;  // part of the config fingerprint
   EXPECT_THROW(SchedulerService service(mismatched), util::JournalError);
+  std::remove(path.c_str());
+}
+
+TEST(SchedulerServiceTest, ConcurrentRequestsBalanceTheAccounting) {
+  // One solve slot and a queue of one under four threads that start
+  // together: requests from a pool of three instances solve, replay the
+  // cache, solve again after waiting behind a copy of themselves, or are
+  // shed. force-shed=0 sheds the first admission. Each thread sends every
+  // request twice in a row, so the thread whose solve answered gets a cache
+  // hit on the repeat.
+  const std::string path = tempPath("serve_accounting.journal");
+  ServiceOptions options = quietServiceOptions();
+  options.maxConcurrent = 1;
+  options.maxQueueDepth = 1;
+  // A 5 s grid: each solve takes milliseconds, long enough to overlap.
+  options.solve.forcedTimeScale = 5;
+  options.journal.path = path;
+  util::FaultPlan plan;
+  plan.forceShedAt = 0;
+  options.faults = plan;
+  const std::vector<ScheduleRequest> pool = {
+      makeRequest(1, 1000), makeRequest(2, 2000), makeRequest(3, 3000)};
+  constexpr std::size_t kThreads = 4, kRounds = 3;
+
+  std::vector<std::vector<ResponseStatus>> statuses(kThreads);
+  HealthStats stats;
+  {
+    SchedulerService service(options);
+    std::latch start(kThreads);
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        start.arrive_and_wait();
+        for (std::size_t i = 0; i < kRounds * pool.size(); ++i) {
+          const ScheduleRequest& request = pool[(t + i) % pool.size()];
+          for (int repeat = 0; repeat < 2; ++repeat) {
+            statuses[t].push_back(service.handle(request).status);
+          }
+        }
+      });
+    }
+    for (std::thread& thread : threads) thread.join();
+    stats = service.health();
+    service.drain();
+  }
+
+  std::uint64_t ok = 0, overloaded = 0;
+  for (const auto& thread : statuses) {
+    for (const ResponseStatus status : thread) {
+      EXPECT_TRUE(status == ResponseStatus::Ok ||
+                  status == ResponseStatus::Overloaded);
+      ok += status == ResponseStatus::Ok ? 1 : 0;
+      overloaded += status == ResponseStatus::Overloaded ? 1 : 0;
+    }
+  }
+  EXPECT_EQ(stats.completed, ok);
+  EXPECT_EQ(stats.completed, stats.accepted + stats.cacheHits);
+  EXPECT_EQ(stats.shed, overloaded);
+  EXPECT_EQ(stats.errors, 0u);
+  EXPECT_GE(stats.shed, 1u);
+  EXPECT_GE(stats.cacheHits, 1u);
+
+  // One journaled answer per admitted solve, duplicates included.
+  const util::JournalReadResult journal = util::readJournal(path);
+  std::uint64_t answers = 0;
+  for (const util::JournalRecord& record : journal.records) {
+    answers += record.type == kServeAnswerRecord ? 1 : 0;
+  }
+  EXPECT_EQ(answers, stats.accepted);
   std::remove(path.c_str());
 }
 

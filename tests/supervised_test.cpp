@@ -378,6 +378,35 @@ TEST(Supervised, StudySurvivesFaultOnEveryStep) {
             rows.size());
   EXPECT_EQ(avg.rungCounts[solveRungIndex(SolveRung::Optimal)], 0u);
   EXPECT_EQ(avg.budgetHits, 0u);  // faults are not budget hits
+  // No row has an ILP answer to average.
+  EXPECT_EQ(avg.quality, 0.0);
+  EXPECT_EQ(avg.perfLossPct, 0.0);
+}
+
+TEST(Supervised, AveragesLeaveOutPolicyFallbackRows) {
+  // Step 0 fails and returns its policy schedule, whose quality of 1 says
+  // nothing about the ILP: quality and loss average rows 1..n only.
+  const auto snapshots = captureSnapshots(250, 4, 100);
+  ASSERT_GE(snapshots.size(), 2u);
+  StudyOptions options = fastOptions();
+  util::FaultPlan faults;
+  faults.failAtStep = 0;
+  options.faults = faults;
+  const std::vector<StudyRow> rows = runStudy(snapshots, options);
+  ASSERT_EQ(rows.size(), snapshots.size());
+  ASSERT_EQ(rows[0].rung, SolveRung::PolicyFallback);
+  double quality = 0, loss = 0;
+  for (std::size_t i = 1; i < rows.size(); ++i) {
+    ASSERT_NE(rows[i].rung, SolveRung::PolicyFallback) << "row " << i;
+    quality += rows[i].quality;
+    loss += rows[i].perfLossPct;
+  }
+  const double answered = static_cast<double>(rows.size() - 1);
+  const StudyAverages avg = averageRows(rows);
+  EXPECT_EQ(avg.rows, rows.size());
+  EXPECT_EQ(avg.rungCounts[solveRungIndex(SolveRung::PolicyFallback)], 1u);
+  EXPECT_DOUBLE_EQ(avg.quality, quality / answered);
+  EXPECT_DOUBLE_EQ(avg.perfLossPct, loss / answered);
 }
 
 TEST(Supervised, StudyCountsRungsAndBudgetHits) {

@@ -42,19 +42,24 @@ TipInstance makeInstance(NodeCount machine, std::vector<core::Job> jobs,
 // Time scaling (Eq. 6).
 // ---------------------------------------------------------------------------
 
+/// Eq. 6's closed form, rounded up to a full minute.
+Time closedFormScale(Time makespan, Time acc, std::size_t jobs,
+                     const TimeScalingParams& params) {
+  const double budget =
+      static_cast<double>(params.totalMemoryBytes) / kSolverOverheadFactor;
+  const double raw = std::sqrt(static_cast<double>(makespan) *
+                               static_cast<double>(jobs) *
+                               static_cast<double>(acc) * kBytesPerEntry /
+                               budget);
+  return static_cast<Time>(std::ceil(raw / 60.0)) * 60;
+}
+
 TEST(TimeScaling, MatchesClosedForm) {
-  TimeScalingParams params;
-  params.roundToSeconds = 1;  // disable rounding for the closed-form check
+  const TimeScalingParams params;
   const Time makespan = 172800, acc = 1000000;
   const std::size_t jobs = 20;
-  const double budget =
-      static_cast<double>(params.totalMemoryBytes) / 4.0;
-  const double expected = std::sqrt(static_cast<double>(makespan) *
-                                    static_cast<double>(jobs) *
-                                    static_cast<double>(acc) *
-                                    params.bytesPerEntry / budget);
-  const Time scale = computeTimeScale(makespan, acc, jobs, params);
-  EXPECT_NEAR(static_cast<double>(scale), expected, 1.0);
+  EXPECT_EQ(computeTimeScale(makespan, acc, jobs, params),
+            closedFormScale(makespan, acc, jobs, params));
 }
 
 TEST(TimeScaling, RoundsUpToFullMinutes) {
@@ -81,22 +86,22 @@ TEST(TimeScaling, MoreMemoryMeansFinerScale) {
 }
 
 TEST(TimeScaling, TinyProblemsStaySecondPrecise) {
-  TimeScalingParams params;
-  params.roundToSeconds = 60;
-  // A few short jobs: Eq. 6 yields < 1 s; the scale floors at minScale.
-  EXPECT_EQ(computeTimeScale(600, 900, 3, params), 1);
+  // A few short jobs: Eq. 6 yields < 1 s; the scale floors at kMinScale.
+  EXPECT_EQ(computeTimeScale(600, 900, 3), kMinScale);
 }
 
 TEST(TimeScaling, MemoryEstimateInvertsEquation) {
-  TimeScalingParams params;
-  params.roundToSeconds = 1;
+  const TimeScalingParams params;
   const Time makespan = 100000, acc = 800000;
   const std::size_t jobs = 15;
   const Time scale = computeTimeScale(makespan, acc, jobs, params);
-  const double budget = static_cast<double>(params.totalMemoryBytes) / 4.0;
-  const double bytes = estimateProblemBytes(makespan, acc, jobs, scale, params);
-  // The chosen scale must respect the budget (within ceil-rounding slack).
-  EXPECT_LE(bytes, budget * 1.05);
+  EXPECT_EQ(scale, closedFormScale(makespan, acc, jobs, params));
+  // The chosen scale is the finest full minute whose estimate fits the
+  // budget.
+  const double budget =
+      static_cast<double>(params.totalMemoryBytes) / kSolverOverheadFactor;
+  EXPECT_LE(estimateProblemBytes(makespan, acc, jobs, scale), budget);
+  EXPECT_GT(estimateProblemBytes(makespan, acc, jobs, scale - 60), budget);
 }
 
 // ---------------------------------------------------------------------------
@@ -317,7 +322,6 @@ TEST_P(ScaleOneOptimalityTest, MipMatchesExhaustiveOracle) {
   const Grid grid = makeGrid(inst);
   const TipModel model = buildModel(inst, grid);
   mip::MipOptions options;
-  options.objectiveIsIntegral = true;
   options.branchGroups = model.jobColumns;
   const mip::MipResult solved = mip::solveMip(model.mip, options);
   ASSERT_EQ(solved.status, mip::MipStatus::Optimal) << "seed " << param.seed;

@@ -155,10 +155,6 @@ TEST(Filters, HeadWindowNormalizeScale) {
   EXPECT_EQ(sorted.jobs().front().jobNumber, 1);
   EXPECT_EQ(sorted.jobs().back().submitTime, 900);
 
-  const SwfTrace window = timeWindow(sorted, 200, 500);
-  ASSERT_EQ(window.jobs().size(), 3u);
-  EXPECT_EQ(window.jobs().front().submitTime, 0);  // shifted to origin
-
   const SwfTrace stretched = scaleArrivals(sorted, 2.0);
   EXPECT_EQ(stretched.jobs().back().submitTime, 1800);
 }

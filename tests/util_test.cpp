@@ -134,21 +134,6 @@ TEST(Rng, SplitProducesIndependentStreams) {
   EXPECT_EQ(Rng(77).split().next(), childA2.next());  // still deterministic
 }
 
-TEST(Rng, NormalMomentsReasonable) {
-  Rng rng(21);
-  double sum = 0, sumSq = 0;
-  const int n = 100000;
-  for (int i = 0; i < n; ++i) {
-    const double v = rng.normal(5.0, 2.0);
-    sum += v;
-    sumSq += v * v;
-  }
-  const double mean = sum / n;
-  const double var = sumSq / n - mean * mean;
-  EXPECT_NEAR(mean, 5.0, 0.05);
-  EXPECT_NEAR(var, 4.0, 0.15);
-}
-
 TEST(Table, RendersAlignedWithRules) {
   TextTable t({"name", "value"});
   t.setAlign(0, TextTable::Align::Left);
