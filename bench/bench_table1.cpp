@@ -149,6 +149,9 @@ int main(int argc, char** argv) {
                          "perf. loss", "comp. time", "status", "nodes"});
   char buf[64];
   for (const tip::StudyRow& row : table1) {
+    // A policy-fallback row has no ILP answer to measure: its quality of 1
+    // would only restate the policy's own schedule.
+    const bool fellBack = row.rung == tip::SolveRung::PolicyFallback;
     std::vector<std::string> cells;
     cells.push_back(util::formatThousands(row.submissionTime));
     cells.push_back(std::to_string(row.jobs));
@@ -158,11 +161,12 @@ int main(int argc, char** argv) {
                   static_cast<double>(row.timeScale) / 60.0);
     cells.push_back(buf);
     std::snprintf(buf, sizeof(buf), "%.4f", row.quality);
-    cells.push_back(buf);
+    cells.push_back(fellBack ? "n/a" : buf);
     std::snprintf(buf, sizeof(buf), "%+.2f%%", row.perfLossPct);
-    cells.push_back(buf);
+    cells.push_back(fellBack ? "n/a" : buf);
     cells.push_back(util::formatHms(row.solveSeconds));
-    cells.push_back(mip::mipStatusName(row.status));
+    cells.push_back(fellBack ? tip::solveRungName(row.rung)
+                             : mip::mipStatusName(row.status));
     cells.push_back(std::to_string(row.nodes));
     table.addRow(std::move(cells));
   }

@@ -1,6 +1,5 @@
 #include "dynsched/serve/client.hpp"
 
-#include <optional>
 #include <utility>
 
 namespace dynsched::serve {
@@ -15,6 +14,32 @@ Socket Client::dial() {
   return connectTcp(options_.tcpPort);
 }
 
+std::optional<Frame> Client::exchange(const Frame& frame) {
+  // At most two passes: the kept connection, then one fresh connection.
+  for (;;) {
+    const bool kept = connection_.valid();
+    if (!kept) connection_ = dial();
+    std::optional<Frame> reply;
+    try {
+      connection_.sendFrame(frame);
+      reply = connection_.recvFrame(options_.timeoutMs);
+    } catch (const NetError&) {
+      connection_.close();
+      if (!kept) throw;
+      continue;
+    }
+    if (reply) return reply;
+    if (connection_.valid()) {
+      // Timed out: drop the connection, so its late reply can never answer
+      // the next request.
+      connection_.close();
+      return std::nullopt;
+    }
+    // A clean EOF before the reply (recvFrame closed the socket).
+    if (!kept) throw NetError("server closed the connection before replying");
+  }
+}
+
 ScheduleResponse Client::schedule(const ScheduleRequest& request) {
   const Frame frame{kScheduleRequestFrame, kFrameVersion,
                     encodeScheduleRequest(request)};
@@ -22,9 +47,7 @@ ScheduleResponse Client::schedule(const ScheduleRequest& request) {
   std::string lastTransportError = "no attempt made";
   const auto attempt = [&]() -> bool {
     try {
-      Socket socket = dial();
-      socket.sendFrame(frame);
-      std::optional<Frame> reply = socket.recvFrame(options_.timeoutMs);
+      std::optional<Frame> reply = exchange(frame);
       if (!reply) {
         lastTransportError = "timed out waiting for the response";
         return false;
@@ -57,9 +80,7 @@ HealthStats Client::health() {
   std::string lastTransportError = "no attempt made";
   const auto attempt = [&]() -> bool {
     try {
-      Socket socket = dial();
-      socket.sendFrame(frame);
-      std::optional<Frame> reply = socket.recvFrame(options_.timeoutMs);
+      std::optional<Frame> reply = exchange(frame);
       if (!reply || reply->type != kHealthResponseFrame) {
         lastTransportError = "no health response";
         return false;
