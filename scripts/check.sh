@@ -280,14 +280,7 @@ if ! skip serve; then
       # Every injected serve fault must surface as a structured, retryable
       # client outcome: the full stream still answers Ok on every request.
       echo "=== [serve] fault soak (all five serve-path kinds) ==="
-      DYNSCHED_FAULTS="accept-fail=1,short-read=2,short-write=4,force-shed=2,worker-stall=3" \
-          "${SERVER[@]}" --journal "$SERVE_DIR/c.journal" \
-          2> "$SERVE_DIR/c.log" &
-      SERVER_PID=$!
-      timeout 300 "${CLIENT[@]}" > "$SERVE_DIR/soak.txt" \
-        || { echo "serve: fault soak left requests unanswered" >&2
-             FAILED="$FAILED serve"; }
-      serve_stop "$SERVER_PID" 0 "fault-soak drain" || FAILED="$FAILED serve"
+      scripts/serve_soak.sh build-plain/tools || FAILED="$FAILED serve"
     fi
 
     if [[ " $FAILED " != *" serve "* ]]; then

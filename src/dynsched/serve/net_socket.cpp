@@ -190,6 +190,15 @@ std::optional<Frame> Socket::recvFrame(int timeoutMs) {
   }
 }
 
+bool Socket::waitReadable(int timeoutMs) {
+  return serve::waitReadable(fd_, timeoutMs);
+}
+
+void Socket::shutdownRead() {
+  // ENOTCONN (the peer is already gone) leaves nothing to wake.
+  (void)::shutdown(fd_, SHUT_RD);
+}
+
 Listener::Listener(Listener&& other) noexcept
     : fd_(other.fd_),
       unixPath_(std::move(other.unixPath_)),

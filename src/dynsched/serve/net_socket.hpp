@@ -72,6 +72,16 @@ class Socket {
   /// short-read — throws NetError.
   std::optional<Frame> recvFrame(int timeoutMs);
 
+  /// Waits up to `timeoutMs` for the socket to turn readable (data, EOF or
+  /// a read-side shutdown). False on timeout or EINTR. Never closes.
+  bool waitReadable(int timeoutMs);
+
+  /// Shuts the read side down: a wait on this socket in another thread
+  /// returns at once, and its reads return EOF once the bytes already
+  /// received are consumed. The caller must know that no other thread
+  /// closes the socket meanwhile.
+  void shutdownRead();
+
  private:
   int fd_ = -1;
 };
